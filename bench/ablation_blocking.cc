@@ -11,15 +11,13 @@
 // candidate-generation pass. "pairs considered" is how many document pairs
 // the pass scored or bucketed together — its dominant cost.
 //
-// Four extra studies ride on the same corpora:
+// Three extra studies ride on the same corpora:
 //  * tuning  — (bands, rows) sweep per corpus *shape* (DBLP-like full
 //    names vs HEPTH-like initials/collisions): where the S-curve knee
 //    belongs for each, reported as the cheapest config that keeps recall.
 //  * scaling — cover-build wall time across worker threads, with the
 //    determinism guarantee checked (bit-identical covers at every thread
 //    and shard count).
-//  * candgen — Dataset::BuildCandidatePairs via full postings scans vs the
-//    sharded LSH index (CandidateOptions::use_lsh).
 //  * quality — end-to-end P/R/F1 per strategy (unchanged by any of this).
 //
 // Top-level "counter_*" metrics in the JSON report are the CI-tracked
@@ -248,20 +246,29 @@ int main() {
   size_t token_index_postings = 0;
   size_t patch_pairs_patched = 0;
   {
+    // The dataset's blocking substrate build (what Dataset::Finalize runs):
+    // tokenize every author ref into a flat corpus, then sharded postings.
     const std::vector<data::EntityId>& refs = scaling_dataset->author_refs();
-    std::vector<std::vector<std::string>> token_sets(refs.size());
-    for (size_t i = 0; i < refs.size(); ++i) {
-      token_sets[i] =
-          blocking::AuthorBlockingTokens(scaling_dataset->entity(refs[i]));
-    }
-    text::TokenIndex reference_index(1);
-    reference_index.AddDocuments(token_sets, ExecutionContext(1, 1));
+    const auto build_index = [&](const ExecutionContext& ctx) {
+      text::TokenIndex index(ctx.num_token_shards());
+      index.AddDocuments(
+          text::TokenCorpus::Build(
+              refs.size(),
+              [&](size_t i, text::TokenCorpus::DocBuilder& builder) {
+                blocking::AppendAuthorBlockingTokens(
+                    scaling_dataset->entity(refs[i]), builder);
+              },
+              ctx),
+          ctx);
+      return index;
+    };
+    const text::TokenIndex& reference_index =
+        scaling_dataset->blocking_index();
     double index_base_seconds = 0.0;
     for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
       ExecutionContext ctx(threads);
       Timer timer;
-      text::TokenIndex index(ctx.num_token_shards());
-      index.AddDocuments(token_sets, ctx);
+      const text::TokenIndex index = build_index(ctx);
       const double seconds = timer.ElapsedSeconds();
       if (threads == 1) index_base_seconds = seconds;
       const bool identical =
@@ -313,40 +320,6 @@ int main() {
                 static_cast<double>(token_index_postings));
   report.Metric("counter_patch_pairs_patched",
                 static_cast<double>(patch_pairs_patched));
-
-  // ---- Candidate generation: postings scans vs the sharded LSH index. ---
-  // Candidate build happens inside GenerateBibDataset, so twin corpora are
-  // generated per path and the (identical) generation cost cancels in the
-  // comparison; recall is measured against the exact path's pair set.
-  std::printf("\nCandidate generation (largest DBLP-like dataset):\n");
-  TableWriter candgen_table(
-      {"generator", "#pairs", "recall vs exact", "gen+cand sec"});
-  {
-    const data::BibConfig config = data::BibConfig::DblpLike(scale);
-    Timer exact_timer;
-    const auto exact = data::GenerateBibDataset(config);
-    const double exact_seconds = exact_timer.ElapsedSeconds();
-    data::CandidateOptions lsh_options;
-    lsh_options.use_lsh = true;
-    Timer lsh_timer;
-    const auto lsh_dataset = data::GenerateBibDataset(config, lsh_options);
-    const double lsh_seconds = lsh_timer.ElapsedSeconds();
-    size_t kept = 0;
-    for (const data::CandidatePair& cp : exact->candidate_pairs()) {
-      if (lsh_dataset->FindCandidatePair(cp.pair.a, cp.pair.b).has_value()) {
-        ++kept;
-      }
-    }
-    candgen_table.AddRow({"postings scan",
-                          std::to_string(exact->num_candidate_pairs()),
-                          TableWriter::Num(1.0), bench::Secs(exact_seconds)});
-    candgen_table.AddRow(
-        {"lsh index", std::to_string(lsh_dataset->num_candidate_pairs()),
-         TableWriter::Num(static_cast<double>(kept) /
-                          static_cast<double>(exact->num_candidate_pairs())),
-         bench::Secs(lsh_seconds)});
-  }
-  report.Table("candgen", candgen_table);
 
   // ---- End-to-end quality on the largest dataset. -----------------------
   // The cover feeds the same SMP/MMP machinery under either strategy, and

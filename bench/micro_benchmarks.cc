@@ -14,7 +14,6 @@
 #include "mln/grounding.h"
 #include "mln/mln_matcher.h"
 #include "text/jaro_winkler.h"
-#include "text/levenshtein.h"
 #include "text/token_index.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -30,14 +29,6 @@ void BM_JaroWinkler(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JaroWinkler);
-
-void BM_Levenshtein(benchmark::State& state) {
-  const std::string a = "garofalakis", b = "garofalakos";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(text::LevenshteinDistance(a, b));
-  }
-}
-BENCHMARK(BM_Levenshtein);
 
 void BM_MaxFlowChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -6,7 +6,8 @@
 # under bench/baselines/) + a wall-time stage (informational by default,
 # gating under CEM_CI_GATE_WALL=1), an AddressSanitizer build re-running
 # the tier-1 suite, and a ThreadSanitizer build re-running the
-# concurrency-labeled suites. Run from anywhere; a fresh checkout passes
+# concurrency-labeled suites, plus a one-second smoke run of each
+# repository benchmark workload. Run from anywhere; a fresh checkout passes
 # end-to-end using only the committed baselines.
 #
 # Knobs:
@@ -219,6 +220,25 @@ grep -q '"query_id"' "${OBS_DIR}/slowlog.json" || {
   echo "error: --slow-query-log produced no traced queries" >&2
   exit 1
 }
+
+echo "== benchmark smoke (perfbench: batch_smp, stream_serve)"
+# One short untraced run per workload of the repository benchmark
+# (perfbench/run.py builds its own Release tree in .bench_build). Its
+# built-in checks (LSH == canopy match sets, streamed == batch) must hold
+# and no operation may fail; this also catches a library API change that
+# breaks the benchmark program.
+for workload in batch_smp stream_serve; do
+  result="$(cd "${REPO_ROOT}" && python3 perfbench/run.py \
+    --workload "${workload}" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  echo "-- ${workload}: ${result}"
+  if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+    "${result}"; then
+    echo "error: benchmark smoke run of ${workload} failed its checks" >&2
+    exit 1
+  fi
+done
 
 if [[ "${CEM_CI_SKIP_ASAN:-0}" != "1" ]]; then
   echo "== ASAN configure (${ASAN_BUILD_DIR})"

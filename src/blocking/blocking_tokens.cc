@@ -4,7 +4,6 @@
 #include <cctype>
 #include <string_view>
 
-#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace cem::blocking {
@@ -58,35 +57,6 @@ void AppendAuthorBlockingTokens(const data::Entity& entity,
   char fused[4];
   const size_t fused_len = FusedInitialToken(entity, name, fused);
   if (fused_len > 0) builder.Emit({fused, fused_len});
-}
-
-void AppendAuthorBlockingTokenHashes(const data::Entity& entity,
-                                     std::vector<uint64_t>* out) {
-  // Incremental FNV over lower-cased bytes — no token strings, no arena.
-  const std::string_view last = entity.last_name;
-  if (!last.empty()) {
-    if (last.size() <= 3) {
-      uint64_t h = kFnv1a64Seed;
-      for (char c : last) h = Fnv1a64Byte(h, AsciiLower(c));
-      out->push_back(h);
-    } else {
-      for (size_t i = 0; i + 3 <= last.size(); ++i) {
-        uint64_t h = kFnv1a64Seed;
-        h = Fnv1a64Byte(h, AsciiLower(last[i]));
-        h = Fnv1a64Byte(h, AsciiLower(last[i + 1]));
-        h = Fnv1a64Byte(h, AsciiLower(last[i + 2]));
-        out->push_back(h);
-      }
-    }
-  }
-  if (!entity.first_name.empty()) {
-    uint64_t h = kFnv1a64Seed;
-    h = Fnv1a64Byte(h, AsciiLower(entity.first_name[0]));
-    h = Fnv1a64Byte(h, '|');
-    const size_t head = std::min<size_t>(2, last.size());
-    for (size_t i = 0; i < head; ++i) h = Fnv1a64Byte(h, AsciiLower(last[i]));
-    out->push_back(h);
-  }
 }
 
 }  // namespace cem::blocking

@@ -1,7 +1,6 @@
 #ifndef CEM_BLOCKING_BLOCKING_TOKENS_H_
 #define CEM_BLOCKING_BLOCKING_TOKENS_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,7 +14,9 @@ namespace cem::blocking {
 /// references ("J. Doe") block together with full ones. This is the single
 /// token definition every blocking structure shares — the candidate-pair
 /// prefilter (Dataset::BuildCandidatePairs), the canopy cheap distance and
-/// the MinHash signatures — so their notions of "nearby" agree.
+/// the MinHash signatures — so their notions of "nearby" agree. This string
+/// form is the test oracle; the library tokenizes through the arena path
+/// below, once per dataset (data::Dataset::blocking_index()).
 std::vector<std::string> AuthorBlockingTokens(const data::Entity& entity);
 
 /// Arena hot path: emits exactly the AuthorBlockingTokens token set into
@@ -24,14 +25,6 @@ std::vector<std::string> AuthorBlockingTokens(const data::Entity& entity);
 /// of 3(k-2) heap-string bytes plus allocator overhead.
 void AppendAuthorBlockingTokens(const data::Entity& entity,
                                 text::TokenCorpus::DocBuilder& builder);
-
-/// Hash-only hot path: appends Fnv1a64(token) for each AuthorBlockingTokens
-/// token to `out` without materialising any token bytes — the streaming
-/// signature path feeds these straight into
-/// MinHasher::SignatureFromHashes. Same multiset of hashes as hashing the
-/// AuthorBlockingTokens strings (duplicates are harmless to MinHash).
-void AppendAuthorBlockingTokenHashes(const data::Entity& entity,
-                                     std::vector<uint64_t>* out);
 
 }  // namespace cem::blocking
 

@@ -2,12 +2,10 @@
 
 #include <vector>
 
-#include "blocking/blocking_tokens.h"
 #include "blocking/minhash_simd.h"
 #include "core/cover_assembly.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "text/token_arena.h"
 #include "util/logging.h"
 
 namespace cem::blocking {
@@ -21,26 +19,17 @@ core::Cover BuildLshCover(const data::Dataset& dataset,
       options.context != nullptr ? *options.context
                                  : ExecutionContext::Default();
 
-  // Signatures + sharded banded index over author refs (dense doc ids =
-  // position), all phases parallel on ctx. Each stage runs under a trace
-  // span so `dedup_tool --trace-json` shows the build as a flame chart.
-  // Tokens go straight into a flat arena corpus (hashed once at emit) and
-  // signatures into one row-major matrix — the batched SIMD hot path.
-  text::TokenCorpus corpus;
-  {
-    CEM_TRACE("blocking/tokenize");
-    corpus = text::TokenCorpus::Build(
-        refs.size(),
-        [&](size_t i, text::TokenCorpus::DocBuilder& builder) {
-          AppendAuthorBlockingTokens(dataset.entity(refs[i]), builder);
-        },
-        ctx);
-  }
+  // Signatures of the dataset's blocking substrate (doc id = position in
+  // author_refs) into one row-major matrix — the batched SIMD hot path —
+  // then the sharded banded index, all phases parallel on ctx. Each stage
+  // runs under a trace span so `dedup_tool --trace-json` shows the build
+  // as a flame chart.
   const MinHasher hasher(options.minhash);
   SignatureMatrix signatures;
   {
     CEM_TRACE("blocking/minhash");
-    signatures = ComputeSignatures(hasher, corpus, ctx);
+    signatures =
+        ComputeSignatures(hasher, dataset.blocking_index().corpus(), ctx);
   }
   LshIndex index(options.lsh, hasher.num_hashes(), ctx.num_shards());
   {

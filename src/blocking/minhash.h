@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "util/execution_context.h"
-
 namespace cem::blocking {
 
 /// Options of the MinHash signature scheme.
@@ -54,18 +52,11 @@ class MinHasher {
   std::vector<uint64_t> Signature(const std::vector<std::string>& tokens) const;
 
   /// Signature of a pre-hashed token set (each element a Fnv1a64 token
-  /// hash — e.g. text::TokenRef::hash or AppendAuthorBlockingTokenHashes
-  /// output). `out` must hold num_hashes() components. Equals
+  /// hash — e.g. text::TokenRef::hash). `out` must hold num_hashes()
+  /// components. Equals
   /// Signature(tokens) whenever `token_hashes` holds the tokens' hashes.
   void SignatureFromHashes(const uint64_t* token_hashes, size_t num_tokens,
                            uint64_t* out) const;
-
-  /// Signatures of all token sets, computed in parallel on `ctx`; element i
-  /// equals Signature(token_sets[i]) (documents are independent, so the
-  /// result does not depend on the thread count).
-  std::vector<std::vector<uint64_t>> SignatureBatch(
-      const std::vector<std::vector<std::string>>& token_sets,
-      const ExecutionContext& ctx) const;
 
   /// Unbiased Jaccard estimate: the fraction of agreeing components.
   /// Signatures must come from the same MinHasher configuration.

@@ -2,11 +2,9 @@
 
 #include <vector>
 
-#include "blocking/blocking_tokens.h"
 #include "core/cover_assembly.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "text/token_index.h"
 #include "util/logging.h"
 
 namespace cem::core {
@@ -20,29 +18,9 @@ Cover BuildCanopyCover(const data::Dataset& dataset,
       options.context != nullptr ? *options.context
                                  : ExecutionContext::Default();
 
-  // Sharded cheap-distance index over author refs (dense doc ids =
-  // position): tokens are emitted straight into a flat arena corpus
-  // (hashed once at emit time), then the postings build runs on ctx with
-  // each worker owning whole token shards.
-  text::TokenCorpus corpus;
-  {
-    CEM_TRACE("blocking/tokenize");
-    corpus = text::TokenCorpus::Build(
-        refs.size(),
-        [&](size_t i, text::TokenCorpus::DocBuilder& builder) {
-          blocking::AppendAuthorBlockingTokens(dataset.entity(refs[i]),
-                                               builder);
-        },
-        ctx);
-  }
-  text::TokenIndex index(ctx.num_token_shards());
-  {
-    CEM_TRACE("blocking/token_index_build");
-    index.AddDocuments(std::move(corpus), ctx);
-  }
-  static obs::Counter& postings_counter =
-      obs::MetricsRegistry::Global().counter("blocking_token_postings");
-  postings_counter.Add(index.num_postings());
+  // Cheap distance: the dataset's blocking substrate (trigram postings
+  // over author refs, doc id = position), shared with candidate pairs.
+  const text::TokenIndex& index = dataset.blocking_index();
 
   // Canopies: random seed order; loose joins, tight removes from seed pool.
   // The postings scans run in parallel batches; the seed loop replays

@@ -40,8 +40,9 @@ struct CanopyOptions {
 
 /// Builds a cover of the dataset's author references with the Canopies
 /// algorithm + totality patches. The cheap distance is trigram-token
-/// overlap on last names (the same blocking index the candidate-pair pass
-/// uses), so candidate pairs and canopies agree.
+/// overlap on last names, read from the dataset's blocking substrate (the
+/// index the candidate-pair pass scans), so candidate pairs and canopies
+/// agree.
 Cover BuildCanopyCover(const data::Dataset& dataset,
                        const CanopyOptions& options = {});
 

@@ -10,12 +10,13 @@ namespace cem::core {
 
 std::vector<MaximalMessage> ComputeMaximal(
     const Matcher& matcher, const std::vector<data::EntityId>& entities,
-    const MatchSet& evidence, const MatchSet& base) {
+    const MatchSet& evidence, const MatchSet& base, size_t* num_conditioned) {
   // Unresolved candidate pairs of C that can possibly entangle with
   // another (the matcher's pruning hook; the default returns all
   // unresolved in-neighborhood candidate pairs).
   const std::vector<data::EntityPair> hypotheses =
       matcher.EntangledPairs(entities, evidence, base);
+  if (num_conditioned != nullptr) *num_conditioned = hypotheses.size();
 
   // One clamped run per hypothesis: what else does assuming p entail?
   std::vector<MatchSet> entailed(hypotheses.size());

@@ -22,10 +22,13 @@ using MaximalMessage = std::vector<data::EntityPair>;
 /// entailment; connected components are the maximal messages (Lemma 1).
 /// Pairs already matched (in `base`, the matcher's output on (C, M+)) are
 /// excluded — they are facts, not hypotheses; singleton components are
-/// dropped as information-free.
+/// dropped as information-free. When `num_conditioned` is non-null it
+/// receives the number of MatchConditioned calls issued (one per
+/// hypothesis).
 std::vector<MaximalMessage> ComputeMaximal(
     const Matcher& matcher, const std::vector<data::EntityId>& entities,
-    const MatchSet& evidence, const MatchSet& base);
+    const MatchSet& evidence, const MatchSet& base,
+    size_t* num_conditioned = nullptr);
 
 /// The set T of Algorithm 3: disjoint maximal messages under the merge
 /// rule (T ∪ TC)* — overlapping messages are replaced by their union

@@ -30,8 +30,8 @@ struct MpResult {
   MatchSet matches;
   /// Neighborhood evaluations (pops of the active set).
   size_t neighborhood_evaluations = 0;
-  /// Total black-box matcher invocations, including the clamped runs
-  /// COMPUTEMAXIMAL issues (MMP only adds those).
+  /// Total black-box matcher invocations, exact: one Match per evaluation
+  /// plus, for MMP, one MatchConditioned per COMPUTEMAXIMAL hypothesis.
   size_t matcher_calls = 0;
   /// MMP: maximal messages computed / promoted into sound matches.
   size_t messages_created = 0;

@@ -263,7 +263,7 @@ std::unique_ptr<Dataset> GenerateBibDataset(
     }
   }
 
-  dataset->Finalize();
+  dataset->Finalize(ctx);
   dataset->BuildCandidatePairs(candidate_options, ctx);
   return dataset;
 }

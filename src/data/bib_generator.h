@@ -85,7 +85,7 @@ RenderedName RenderNoisyName(const BibConfig& config, const std::string& first,
 /// Authored/Cites tuples and the derived Coauthor relation. The result is
 /// Finalize()d and candidate pairs are built with `candidate_options` on
 /// `ctx` (generation itself is serial — it is one seeded random stream —
-/// but candidate scoring parallelises).
+/// but the blocking substrate and candidate scoring parallelise).
 std::unique_ptr<Dataset> GenerateBibDataset(
     const BibConfig& config, const CandidateOptions& candidate_options = {},
     const ExecutionContext& ctx = ExecutionContext::Default());

@@ -3,10 +3,9 @@
 #include <algorithm>
 
 #include "blocking/blocking_tokens.h"
-#include "blocking/lsh_index.h"
-#include "blocking/minhash.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "text/similarity_level.h"
-#include "text/token_index.h"
 #include "util/logging.h"
 
 namespace cem::data {
@@ -58,7 +57,7 @@ void Dataset::AddCites(EntityId from, EntityId to) {
   cites_.Add(from, to);
 }
 
-void Dataset::Finalize() {
+void Dataset::Finalize(const ExecutionContext& ctx) {
   CEM_CHECK(!finalized_);
   authored_.Finalize();
   // Coauthor = self-join of Authored on the paper attribute.
@@ -77,7 +76,41 @@ void Dataset::Finalize() {
   }
   coauthor_.Finalize();
   cites_.Finalize();
+
+  // The blocking substrate: tokens are emitted straight into a flat arena
+  // corpus (hashed once at emit time), then the postings build runs on ctx
+  // with each worker owning whole token shards.
+  text::TokenCorpus corpus;
+  {
+    CEM_TRACE("blocking/tokenize");
+    corpus = text::TokenCorpus::Build(
+        author_refs_.size(),
+        [&](size_t i, text::TokenCorpus::DocBuilder& builder) {
+          blocking::AppendAuthorBlockingTokens(entities_[author_refs_[i]],
+                                               builder);
+        },
+        ctx);
+  }
+  {
+    CEM_TRACE("blocking/token_index_build");
+    blocking_index_ = text::TokenIndex(ctx.num_token_shards());
+    blocking_index_.AddDocuments(std::move(corpus), ctx);
+  }
+  static obs::Counter& postings_counter =
+      obs::MetricsRegistry::Global().counter("blocking_token_postings");
+  postings_counter.Add(blocking_index_.num_postings());
   finalized_ = true;
+}
+
+std::span<const text::TokenRef> Dataset::BlockingTokens(EntityId ref) const {
+  CEM_CHECK(finalized_) << "BlockingTokens before Finalize";
+  // author_refs_ is in increasing id order (ids are assigned densely).
+  const auto it =
+      std::lower_bound(author_refs_.begin(), author_refs_.end(), ref);
+  CEM_CHECK(it != author_refs_.end() && *it == ref)
+      << "blocking tokens exist only for author references; entity " << ref
+      << " is not one";
+  return blocking_index_.doc_tokens(it - author_refs_.begin());
 }
 
 void Dataset::BuildCandidatePairs(const CandidateOptions& options,
@@ -86,62 +119,18 @@ void Dataset::BuildCandidatePairs(const CandidateOptions& options,
   CEM_CHECK(candidate_pairs_.empty()) << "candidate pairs already built";
   const size_t n = author_refs_.size();
 
-  // Blocking tokens per reference — the shared definition every blocking
-  // structure uses (see blocking/blocking_tokens.h), so candidate pairs,
-  // canopies and LSH signatures agree on what "nearby" means. Tokens are
-  // emitted straight into a flat arena corpus, hashed once at emit time.
-  text::TokenCorpus corpus = text::TokenCorpus::Build(
-      n,
-      [&](size_t i, text::TokenCorpus::DocBuilder& builder) {
-        blocking::AppendAuthorBlockingTokens(entities_[author_refs_[i]],
-                                             builder);
-      },
-      ctx);
-
-  // Blocking prefilter: per reference i, the doc ids > i worth scoring.
-  // The LSH structures are only constructed (and their knobs validated) on
-  // the use_lsh path.
-  std::function<std::vector<uint32_t>(uint32_t)> block_fn;
-  std::optional<text::TokenIndex> index;
-  std::optional<blocking::LshIndex> lsh;
-  if (options.use_lsh) {
-    // Sub-quadratic path: batched signatures over the corpus, sharded
-    // banded index, parallel insert.
-    const blocking::MinHasher hasher({options.lsh_num_hashes});
-    lsh.emplace(blocking::LshParams{options.lsh_bands, options.lsh_rows},
-                hasher.num_hashes(), ctx.num_shards());
-    lsh->AddDocuments(blocking::ComputeSignatures(hasher, corpus, ctx), ctx);
-    block_fn = [&lsh](uint32_t i) {
-      std::vector<uint32_t> out;
-      for (uint32_t other : lsh->Candidates(i)) {
-        if (other > i) out.push_back(other);
-      }
-      return out;
-    };
-  } else {
-    // Exact path: sharded trigram inverted index (parallel build), full
-    // postings scans.
-    index.emplace(ctx.num_token_shards());
-    index->AddDocuments(std::move(corpus), ctx);
-    block_fn = [&](uint32_t i) {
-      std::vector<uint32_t> out;
-      for (const auto& cand :
-           index->Candidates(i, options.min_ngram_overlap)) {
-        if (cand.doc_id > i) out.push_back(cand.doc_id);
-      }
-      return out;
-    };
-  }
-
-  // Score each reference's candidate block in parallel; per-reference
-  // result slots keep the merge order-independent, and the sort in
-  // FinalizeCandidatePairs makes the final index identical for any thread
-  // count either way.
+  // Blocking prefilter over the substrate's trigram postings, then exact
+  // name similarity. Each reference scores its candidates with larger doc
+  // ids in parallel; per-reference result slots keep the merge
+  // order-independent, and the sort in FinalizeCandidatePairs makes the
+  // final index identical for any thread count either way.
   std::vector<std::vector<CandidatePair>> found(n);
   ParallelFor(ctx.pool(), n, [&](size_t i) {
     const Entity& a = entities_[author_refs_[i]];
-    for (uint32_t other : block_fn(static_cast<uint32_t>(i))) {
-      const Entity& b = entities_[author_refs_[other]];
+    for (const text::TokenIndex::Neighbor& cand : blocking_index_.Candidates(
+             static_cast<uint32_t>(i), options.min_ngram_overlap)) {
+      if (cand.doc_id <= i) continue;
+      const Entity& b = entities_[author_refs_[cand.doc_id]];
       const text::SimilarityLevel level = text::NameSimilarityLevel(
           a.first_name, a.last_name, b.first_name, b.last_name,
           options.thresholds);

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "data/entity.h"
 #include "data/relation.h"
 #include "text/similarity_level.h"
+#include "text/token_index.h"
 #include "util/execution_context.h"
 
 namespace cem::data {
@@ -36,18 +38,6 @@ struct CandidateOptions {
   /// below it are never even scored. Keep below the level-1 threshold's
   /// effective trigram overlap so blocking does not lose candidates.
   double min_ngram_overlap = 0.25;
-  /// Generate candidates from the sharded MinHash/LSH index instead of the
-  /// full trigram postings scans: the same sub-quadratic win the LSH cover
-  /// builder gets, over the same shared blocking tokens. Banding is
-  /// probabilistic — pairs whose token Jaccard sits far below the S-curve
-  /// knee can be missed — so this is opt-in for scale runs.
-  bool use_lsh = false;
-  /// Banding knobs of the use_lsh path (mirror blocking::LshCoverOptions
-  /// defaults; kept as plain integers so data/ needs no blocking/ types in
-  /// this header). lsh_bands * lsh_rows must fit in lsh_num_hashes.
-  uint32_t lsh_bands = 32;
-  uint32_t lsh_rows = 2;
-  uint32_t lsh_num_hashes = 64;
 };
 
 /// An entity-matching problem instance: entities E, relations R, ground
@@ -77,15 +67,16 @@ class Dataset {
   void AddCites(EntityId from, EntityId to);
 
   /// Derives the symmetric Coauthor relation from Authored (self-join, as in
-  /// Example 1), sorts all adjacency lists. Must be called once after all
-  /// entities/tuples are added.
-  void Finalize();
+  /// Example 1), sorts all adjacency lists, and builds the blocking
+  /// substrate (see blocking_index()) on `ctx`. Must be called once after
+  /// all entities/tuples are added.
+  void Finalize(const ExecutionContext& ctx = ExecutionContext::Default());
 
-  /// Computes the candidate-pair index over author references: a blocking
-  /// prefilter (trigram postings scans, or the sharded LSH index when
-  /// `options.use_lsh` is set) followed by exact name similarity. Scoring
-  /// runs in parallel on `ctx`; the result is sorted and deduplicated, so
-  /// it is identical for any thread/shard count. Requires Finalize().
+  /// Computes the candidate-pair index over author references: trigram
+  /// postings scans of the blocking substrate followed by exact name
+  /// similarity. Scoring runs in parallel on `ctx`; the result is sorted
+  /// and deduplicated, so it is identical for any thread/shard count.
+  /// Requires Finalize().
   void BuildCandidatePairs(
       const CandidateOptions& options = {},
       const ExecutionContext& ctx = ExecutionContext::Default());
@@ -106,6 +97,20 @@ class Dataset {
 
   /// Ids of all author references.
   const std::vector<EntityId>& author_refs() const { return author_refs_; }
+
+  // --- blocking substrate ---------------------------------------------------
+
+  /// The dataset's one blocking substrate, built once by Finalize(): the
+  /// blocking::AppendAuthorBlockingTokens corpus of every author reference
+  /// and its sharded trigram index, doc id = position in author_refs().
+  /// Candidate pairs, both batch cover builders, the incremental cover and
+  /// serving all read it, so they agree on what "nearby" means and nothing
+  /// tokenizes a reference twice. Query results and counts are identical
+  /// for any thread/shard count Finalize() ran on.
+  const text::TokenIndex& blocking_index() const { return blocking_index_; }
+
+  /// The normalised blocking tokens of author reference `ref`.
+  std::span<const text::TokenRef> BlockingTokens(EntityId ref) const;
 
   // --- relations -----------------------------------------------------------
 
@@ -154,6 +159,7 @@ class Dataset {
   Relation cites_;
   Relation coauthor_;
   bool finalized_ = false;
+  text::TokenIndex blocking_index_;
 
   std::vector<CandidatePair> candidate_pairs_;
   std::unordered_map<uint64_t, PairId> pair_index_;

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -121,28 +120,6 @@ class Histogram {
 
   std::vector<double> bounds_;
   std::array<Slot, kMetricSlots> slots_;
-};
-
-/// Records the elapsed scope duration, in microseconds, into a histogram
-/// on destruction — the lightweight sibling of obs::ScopedSpan for sites
-/// (like the serve query path) that want a latency distribution without a
-/// trace event per call.
-class ScopedLatencyUs {
- public:
-  explicit ScopedLatencyUs(Histogram& hist)
-      : hist_(hist), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedLatencyUs() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    hist_.Record(
-        std::chrono::duration<double, std::micro>(elapsed).count());
-  }
-
-  ScopedLatencyUs(const ScopedLatencyUs&) = delete;
-  ScopedLatencyUs& operator=(const ScopedLatencyUs&) = delete;
-
- private:
-  Histogram& hist_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Point-in-time merged read of a whole registry, keyed by metric name.

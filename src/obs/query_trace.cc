@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "obs/json.h"
+#include "obs/trace.h"
 
 namespace cem::obs {
 namespace {
@@ -54,6 +55,10 @@ uint64_t NextQueryId() {
   return next.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+double QueryTrace::SinceStartUs() const {
+  return static_cast<double>(TraceNowNs() - start_ns) / 1e3;
+}
+
 void QueryTrace::AppendJson(std::string& out) const {
   out += "{";
   bool first = true;
@@ -64,6 +69,7 @@ void QueryTrace::AppendJson(std::string& out) const {
   AppendField(out, "error", error, &first);
   AppendField(out, "start_us",
               static_cast<double>(start_ns) / 1e3, &first);
+  AppendField(out, "wait_us", wait_us, &first);
   AppendField(out, "signature_us", signature_us, &first);
   AppendField(out, "probe_us", probe_us, &first);
   AppendField(out, "rank_us", rank_us, &first);

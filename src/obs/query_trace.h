@@ -16,12 +16,12 @@ uint64_t NextQueryId();
 
 /// Per-request trace context of one serve::MatchService::Lookup — the
 /// request-level sibling of a TraceEvent. The lookup threads it through
-/// its pipeline (signature → sharded LSH probe → candidate ranking →
-/// cover read), stamping each stage boundary as a cumulative offset from
-/// the query's start; offsets are read from one steady clock in stage
-/// order, so they are monotone non-decreasing by construction:
+/// its pipeline (lock wait → signature → sharded LSH probe → candidate
+/// ranking → cover read), stamping each stage boundary as a cumulative
+/// offset from the query's start; offsets are read from one steady clock
+/// in stage order, so they are monotone non-decreasing by construction:
 ///
-///   signature_us <= probe_us <= rank_us <= cover_us <= total_us
+///   wait_us <= signature_us <= probe_us <= rank_us <= cover_us <= total_us
 ///
 /// The trace rides on the QueryResult (so callers can ask "why was MY
 /// query slow?") and feeds the service's SlowQueryLog.
@@ -38,6 +38,7 @@ struct QueryTrace {
   /// Query start, nanoseconds on the process trace epoch (TraceNowNs).
   uint64_t start_ns = 0;
   /// Cumulative stage-end offsets since start, microseconds.
+  double wait_us = 0.0;       ///< Validated; shared lock held.
   double signature_us = 0.0;  ///< MinHash signature obtained.
   double probe_us = 0.0;      ///< Sharded LSH probe done.
   double rank_us = 0.0;       ///< Candidates scored, ranked and capped.
@@ -48,6 +49,10 @@ struct QueryTrace {
   uint64_t candidates_probed = 0;    ///< Raw LSH candidates (pre-cap).
   uint64_t candidates_returned = 0;  ///< After ranking and the cap.
   uint64_t cluster_size = 0;         ///< Members of the answered cluster.
+
+  /// Microseconds from start_ns to now on the trace clock — the value each
+  /// stage stamp records.
+  double SinceStartUs() const;
 
   /// Appends this trace as one JSON object (numbers and booleans only —
   /// shares the obs/json.h conventions with the other exporters).

@@ -25,7 +25,6 @@ inline constexpr uint32_t kWalVersion = 1;
 /// 8-byte file magics (io::WriteFramedFile prefixes).
 inline constexpr std::string_view kSnapshotMagic = "CEMSNAP1";
 inline constexpr std::string_view kWalMagic = "CEMWAL01";
-inline constexpr std::string_view kTokenIndexMagic = "CEMTOKI1";
 
 /// First payload byte of every snapshot section file: which section this
 /// file claims to be, so a file renamed into the wrong slot is rejected
@@ -37,8 +36,7 @@ enum class Section : uint8_t {
   kCover = 4,
   kSignatures = 5,
   kLshShard = 6,
-  kTokenMeta = 7,
-  kTokenShard = 8,
+  // 7 and 8 tagged the retired standalone token-index files; never reuse.
 };
 
 /// Identity of the run a WAL or snapshot belongs to: the dataset shape and

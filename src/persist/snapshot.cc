@@ -571,138 +571,4 @@ Status LoadSnapshot(const std::string& snap_dir,
   return matcher.RestoreState(std::move(state));
 }
 
-// --- token index ------------------------------------------------------------
-
-Status SaveTokenIndex(const std::string& dir, const text::TokenIndex& index,
-                      const ExecutionContext& ctx, io::FaultPlan* faults,
-                      bool sync) {
-  const size_t num_shards = index.num_shards();
-  const size_t n = index.num_documents();
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    return InternalError("cannot create " + dir + ": " + ec.message());
-  }
-  std::vector<Status> shard_status(num_shards);
-  ParallelFor(ctx.pool(), num_shards, [&](size_t s) {
-    io::Buffer out;
-    out.PutU8(static_cast<uint8_t>(Section::kTokenShard));
-    out.PutU32(static_cast<uint32_t>(s));
-    out.PutU32(static_cast<uint32_t>(num_shards));
-    uint64_t count = 0;
-    for (size_t doc = s; doc < n; doc += num_shards) ++count;
-    out.PutU64(count);
-    for (size_t doc = s; doc < n; doc += num_shards) {
-      const std::span<const text::TokenRef> tokens = index.doc_tokens(doc);
-      out.PutU32(static_cast<uint32_t>(doc));
-      out.PutU32(static_cast<uint32_t>(tokens.size()));
-      for (const text::TokenRef& token : tokens) out.PutString(token.view());
-    }
-    shard_status[s] = io::WriteFramedFile(
-        (fs::path(dir) / ShardFileName("toki", s)).string(), kTokenIndexMagic,
-        kSnapshotVersion, out.bytes(), faults, sync);
-  });
-  CEM_RETURN_IF_ERROR(FirstError(shard_status));
-
-  io::Buffer out;
-  out.PutU8(static_cast<uint8_t>(Section::kTokenMeta));
-  out.PutU32(static_cast<uint32_t>(num_shards));
-  out.PutU64(n);
-  CEM_RETURN_IF_ERROR(
-      io::WriteFramedFile((fs::path(dir) / "toki_meta.bin").string(),
-                          kTokenIndexMagic, kSnapshotVersion, out.bytes(),
-                          faults, sync));
-  return sync ? io::SyncDir(dir) : OkStatus();
-}
-
-Status LoadTokenIndex(const std::string& dir, text::TokenIndex& index,
-                      const ExecutionContext& ctx) {
-  if (!index.empty()) {
-    return FailedPreconditionError("LoadTokenIndex needs an empty index");
-  }
-  uint32_t file_shards = 0;
-  uint64_t n = 0;
-  {
-    Result<std::string> bytes =
-        io::ReadFramedFile((fs::path(dir) / "toki_meta.bin").string(),
-                           kTokenIndexMagic, kSnapshotVersion);
-    if (!bytes.ok()) return bytes.status();
-    io::Cursor in(*bytes);
-    if (in.GetU8() != static_cast<uint8_t>(Section::kTokenMeta)) {
-      return InvalidArgumentError(dir + ": wrong section tag");
-    }
-    file_shards = in.GetU32();
-    n = in.GetU64();
-    if (!in.AtEnd() || file_shards == 0) {
-      return InvalidArgumentError(dir + ": malformed toki_meta.bin");
-    }
-    if (file_shards > kMaxShards) {
-      return InvalidArgumentError(dir + ": implausible token shard count");
-    }
-  }
-  // Every document costs >= 8 bytes in its shard file; bounding n by the
-  // on-disk total keeps a corrupt count from allocating n empty vectors.
-  uintmax_t shard_bytes = 0;
-  for (uint32_t s = 0; s < file_shards; ++s) {
-    std::error_code ec;
-    const uintmax_t size =
-        fs::file_size(fs::path(dir) / ShardFileName("toki", s), ec);
-    if (!ec) shard_bytes += size;
-  }
-  if (n > shard_bytes / 8) {
-    return InvalidArgumentError(dir + ": implausible document count");
-  }
-  std::vector<std::vector<std::string>> doc_tokens(n);
-  std::vector<Status> shard_status(file_shards);
-  std::vector<uint64_t> shard_counts(file_shards, 0);
-  ParallelFor(ctx.pool(), file_shards, [&](size_t s) {
-    Result<std::string> bytes =
-        io::ReadFramedFile((fs::path(dir) / ShardFileName("toki", s)).string(),
-                           kTokenIndexMagic, kSnapshotVersion);
-    if (!bytes.ok()) {
-      shard_status[s] = bytes.status();
-      return;
-    }
-    io::Cursor in(*bytes);
-    if (in.GetU8() != static_cast<uint8_t>(Section::kTokenShard) ||
-        in.GetU32() != s || in.GetU32() != file_shards) {
-      shard_status[s] =
-          InvalidArgumentError(dir + ": token shard header mismatch");
-      return;
-    }
-    const uint64_t count = in.GetU64();
-    uint64_t previous_doc = 0;
-    bool first = true;
-    for (uint64_t i = 0; i < count && in.ok(); ++i) {
-      const uint32_t doc = in.GetU32();
-      if (doc >= n || doc % file_shards != s ||
-          (!first && doc <= previous_doc)) {
-        shard_status[s] = InvalidArgumentError(dir + ": bad token doc id");
-        return;
-      }
-      first = false;
-      previous_doc = doc;
-      const uint32_t num_tokens = in.GetU32();
-      std::vector<std::string>& tokens = doc_tokens[doc];
-      tokens.reserve(io::ClampCount(num_tokens, in.remaining(), 4));
-      for (uint32_t t = 0; t < num_tokens && in.ok(); ++t) {
-        tokens.push_back(in.GetString());
-      }
-    }
-    if (!in.AtEnd()) {
-      shard_status[s] = InvalidArgumentError(dir + ": malformed token shard");
-      return;
-    }
-    shard_counts[s] = count;
-  });
-  CEM_RETURN_IF_ERROR(FirstError(shard_status));
-  uint64_t total = 0;
-  for (uint64_t c : shard_counts) total += c;
-  if (total != n) {
-    return InvalidArgumentError(dir + ": token shards miss documents");
-  }
-  index.AddDocuments(doc_tokens, ctx);
-  return OkStatus();
-}
-
 }  // namespace cem::persist

@@ -7,7 +7,6 @@
 
 #include "persist/format.h"
 #include "stream/streaming_matcher.h"
-#include "text/token_index.h"
 #include "util/execution_context.h"
 #include "util/io.h"
 #include "util/status.h"
@@ -63,26 +62,6 @@ std::vector<SnapshotRef> ListSnapshots(const std::string& dir);
 /// problem; recovery treats that as "skip this snapshot", never a crash.
 Status LoadSnapshot(const std::string& snap_dir,
                     stream::StreamingMatcher& matcher);
-
-// --- token index ------------------------------------------------------------
-// The canopy-blocking TokenIndex persists standalone (it belongs to the
-// batch front-end, not the streaming matcher): toki_meta.bin plus
-// toki_<s>.bin files with documents partitioned by doc_id (mod shards).
-// Postings are rebuilt from the saved token sets on load — normalisation
-// is idempotent and the shard partition re-derives locally instead of
-// trusting a saved std::hash assignment across processes.
-
-/// Saves `index` into `dir` (created if needed), sharded by its own
-/// num_shards(); shard files write in parallel on `ctx`. `sync` as in
-/// SaveSnapshot.
-Status SaveTokenIndex(const std::string& dir, const text::TokenIndex& index,
-                      const ExecutionContext& ctx = ExecutionContext::Default(),
-                      io::FaultPlan* faults = nullptr, bool sync = false);
-
-/// Loads a saved token index into empty `index` (any shard count); shard
-/// files read in parallel on `ctx`.
-Status LoadTokenIndex(const std::string& dir, text::TokenIndex& index,
-                      const ExecutionContext& ctx = ExecutionContext::Default());
 
 }  // namespace cem::persist
 

@@ -87,8 +87,7 @@ Result<QueryResult> MatchService::Lookup(const Query& query) const {
     static obs::Counter& errors =
         obs::MetricsRegistry::Global().counter("serve_query_errors");
     trace.error = true;
-    trace.total_us =
-        static_cast<double>(obs::TraceNowNs() - trace.start_ns) / 1e3;
+    trace.total_us = trace.SinceStartUs();
     errors.Add(1);
     // Rejected lookups feed the window as errors (the live error rate),
     // but never the latency histogram or the slow-query log — those
@@ -102,14 +101,15 @@ Result<QueryResult> MatchService::Lookup(const Query& query) const {
     std::this_thread::yield();
   }
   std::shared_lock lock(mu_);
+  // Validation, the ingest-priority spin and lock acquisition end here.
+  trace.wait_us = trace.SinceStartUs();
   // The epoch contract: a reader holding the shared lock sees a quiescent
   // matcher — every mutation (and its drain) completed before the epoch
   // was published and the exclusive lock released.
   CEM_DCHECK(matcher_.quiescent());
   QueryResult result = LookupLocked(query, &trace);
   lock.unlock();
-  trace.total_us =
-      static_cast<double>(obs::TraceNowNs() - trace.start_ns) / 1e3;
+  trace.total_us = trace.SinceStartUs();
   result.latency_us = static_cast<uint64_t>(trace.total_us);
   latency.Record(trace.total_us);
   queries.Add(1);
@@ -155,19 +155,17 @@ QueryResult MatchService::LookupLocked(const Query& query,
   result.live = self_slot != stream::IncrementalCover::kNoSeed;
   // Stage stamps are cumulative offsets from the query's start, read in
   // stage order from one steady clock — monotone by construction.
-  const auto stage_us = [trace] {
-    return static_cast<double>(obs::TraceNowNs() - trace->start_ns) / 1e3;
-  };
   trace->epoch = result.epoch;
   trace->live = result.live;
 
   // The query's MinHash signature: the stored one for live references
-  // (bit-identical to recomputation, and cheaper), computed fresh for
-  // cold ones — the only per-query hashing work.
+  // (bit-identical to recomputation, and cheaper); for cold ones, signed
+  // from the reference's span of the dataset's blocking substrate — the
+  // only per-query MinHash work.
   const std::vector<uint64_t>& signature =
       result.live ? icover.signatures()[self_slot]
                   : icover.ComputeSignature(query.ref);
-  trace->signature_us = stage_us();
+  trace->signature_us = trace->SinceStartUs();
 
   // LSH probe: slots sharing at least one band bucket, self filtered.
   const std::vector<uint32_t> slots =
@@ -184,7 +182,7 @@ QueryResult MatchService::LookupLocked(const Query& query,
   scanned.Add(result.candidates.size());
   trace->shards_probed = icover.lsh_index().num_shards();
   trace->candidates_probed = result.candidates.size();
-  trace->probe_us = stage_us();
+  trace->probe_us = trace->SinceStartUs();
 
   // Ranked answer: best similarity first, ids break ties — deterministic
   // for any arrival order of the candidates themselves.
@@ -199,7 +197,7 @@ QueryResult MatchService::LookupLocked(const Query& query,
     result.candidates.resize(cap);
   }
   trace->candidates_returned = result.candidates.size();
-  trace->rank_us = stage_us();
+  trace->rank_us = trace->SinceStartUs();
 
   if (result.live) {
     // Live query: the published fixpoint already holds its matches.
@@ -242,7 +240,7 @@ QueryResult MatchService::LookupLocked(const Query& query,
   }
   if (result.cluster.empty()) result.cluster = {query.ref};
   trace->cluster_size = result.cluster.size();
-  trace->cover_us = stage_us();
+  trace->cover_us = trace->SinceStartUs();
 
   for (const CandidateScore& c : result.candidates) {
     if (c.matched) result.confidence = std::max(result.confidence, c.jaccard);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "blocking/blocking_tokens.h"
+#include "blocking/minhash_simd.h"
 #include "util/logging.h"
 
 namespace cem::stream {
@@ -21,15 +21,14 @@ IncrementalCover::IncrementalCover(const data::Dataset& dataset,
 
 std::vector<uint64_t> IncrementalCover::ComputeSignature(
     data::EntityId ref) const {
-  // Hash-only hot path: token hashes stream into a reused scratch buffer
-  // (no token strings are materialised), then the salted min-reductions
-  // run on the dispatched kernel. Bit-identical to hashing the
-  // AuthorBlockingTokens strings.
-  thread_local std::vector<uint64_t> hashes;
-  hashes.clear();
-  blocking::AppendAuthorBlockingTokenHashes(dataset_.entity(ref), &hashes);
+  // Signs the reference's span of the dataset's blocking substrate: its
+  // tokens were hashed once at Finalize, so only the salted
+  // min-reductions run here, on the dispatched kernel.
+  const std::span<const text::TokenRef> tokens = dataset_.BlockingTokens(ref);
   std::vector<uint64_t> signature(hasher_.num_hashes());
-  hasher_.SignatureFromHashes(hashes.data(), hashes.size(), signature.data());
+  blocking::simd::MinHashSignatureRefs(
+      tokens.data(), tokens.size(), hasher_.salts().data(),
+      hasher_.num_hashes(), signature.data(), blocking::ActiveSimdLevel());
   return signature;
 }
 

@@ -154,9 +154,10 @@ class IncrementalCover {
   const IngestStats& stats() const { return stats_; }
   const IncrementalCoverOptions& options() const { return options_; }
 
-  /// MinHash signature of `ref`'s blocking tokens. Pure (no state change):
-  /// batch ingest computes signatures for a whole chunk in parallel before
-  /// the serial inserts.
+  /// MinHash signature of `ref`'s blocking tokens, read from the dataset's
+  /// blocking substrate (data::Dataset::BlockingTokens). Pure (no state
+  /// change): batch ingest computes signatures for a whole chunk in
+  /// parallel before the serial inserts.
   std::vector<uint64_t> ComputeSignature(data::EntityId ref) const;
 
   /// Inserts a live reference with a precomputed signature and patches the

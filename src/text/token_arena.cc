@@ -12,7 +12,9 @@ namespace cem::text {
 /// kChunkDocs documents. Exactly one Build() worker fills a chunk, so no
 /// member needs synchronisation.
 struct TokenChunk {
-  Arena arena;
+  /// Small blocks: a chunk's token bytes are a few KiB (trigrams alias one
+  /// interned name), and a dataset keeps its corpus for its lifetime.
+  Arena arena{4096};
   std::vector<TokenRef> tokens;
   /// doc_begin[i] is the first token of local document i; one extra entry
   /// closes the last document.
@@ -92,6 +94,7 @@ TokenCorpus TokenCorpus::Build(size_t num_docs, const TokenizeFn& tokenize,
       tokenize(doc, builder);
       FinishDoc(chunk);
     }
+    chunk.tokens.shrink_to_fit();
   });
   static obs::Gauge& arena_gauge =
       obs::MetricsRegistry::Global().gauge("blocking_token_arena_bytes");

@@ -21,26 +21,9 @@ void TokenIndex::AddDocument(uint32_t doc_id,
   }
 }
 
-void TokenIndex::AddDocuments(
-    const std::vector<std::vector<std::string>>& token_sets,
-    const ExecutionContext& ctx) {
-  CEM_CHECK(empty()) << "AddDocuments on a non-empty index";
-  corpus_ = TokenCorpus::Build(
-      token_sets.size(),
-      [&](size_t doc, TokenCorpus::DocBuilder& builder) {
-        for (const std::string& t : token_sets[doc]) builder.EmitLower(t);
-      },
-      ctx);
-  InsertPostings(0, ctx);
-}
-
 void TokenIndex::AddDocuments(TokenCorpus corpus, const ExecutionContext& ctx) {
   CEM_CHECK(empty()) << "AddDocuments on a non-empty index";
   corpus_ = std::move(corpus);
-  InsertPostings(0, ctx);
-}
-
-void TokenIndex::InsertPostings(size_t first_doc, const ExecutionContext& ctx) {
   // Partition the (token, doc) stream by owning shard — one cheap linear
   // append pass, in doc order, so each shard's list replays serial
   // AddDocument order exactly.
@@ -53,7 +36,7 @@ void TokenIndex::InsertPostings(size_t first_doc, const ExecutionContext& ctx) {
   for (auto& list : per_shard) {
     list.reserve(corpus_.num_tokens() / shards_.size() + 1);
   }
-  for (size_t doc = first_doc; doc < num_docs; ++doc) {
+  for (size_t doc = 0; doc < num_docs; ++doc) {
     for (const TokenRef& ref : corpus_.doc(doc)) {
       per_shard[ShardOf(ref)].push_back({&ref, static_cast<uint32_t>(doc)});
     }

@@ -40,17 +40,12 @@ class TokenIndex {
   /// duplicate tokens within a document are collapsed.
   void AddDocument(uint32_t doc_id, const std::vector<std::string>& tokens);
 
-  /// Bulk-adds documents 0..token_sets.size()-1 in parallel on `ctx`:
-  /// token sets are normalised per document, then each shard inserts the
+  /// Takes ownership of a pre-built corpus (the arena hot path — callers
+  /// tokenise straight into a TokenCorpus, no string vectors) and builds
+  /// postings over it in parallel on `ctx`, each shard inserting the
   /// postings it owns in document order. The index must be empty.
   /// Equivalent to calling AddDocument for each document in increasing id
   /// order.
-  void AddDocuments(const std::vector<std::vector<std::string>>& token_sets,
-                    const ExecutionContext& ctx);
-
-  /// Takes ownership of a pre-built corpus (the arena hot path — callers
-  /// tokenise straight into a TokenCorpus, no string vectors) and builds
-  /// postings over it in parallel on `ctx`. The index must be empty.
   void AddDocuments(TokenCorpus corpus, const ExecutionContext& ctx);
 
   /// Number of documents added.
@@ -85,16 +80,13 @@ class TokenIndex {
   size_t num_shards() const { return shards_.size(); }
 
   /// The normalised (lower-cased, sorted, unique) tokens of document `doc`
-  /// — the authoritative state the snapshot format persists (one string
-  /// per TokenRef, byte-identical to the historical string-vector form).
-  /// Postings are a pure function of these: the loader rebuilds them with
-  /// AddDocuments, which also re-derives the shard partition instead of
-  /// trusting a saved hash assignment.
+  /// (one TokenRef per token, byte-identical to the historical
+  /// string-vector form). Postings are a pure function of these.
   std::span<const TokenRef> doc_tokens(size_t doc) const {
     return corpus_.doc(doc);
   }
 
-  /// The backing corpus (for footprint reporting).
+  /// The backing corpus (signed by the MinHash batch kernels).
   const TokenCorpus& corpus() const { return corpus_; }
 
  private:
@@ -122,11 +114,6 @@ class TokenIndex {
   size_t ShardOf(const TokenRef& ref) const {
     return ref.hash % shards_.size();
   }
-
-  /// Inserts postings for documents [first_doc, num_docs) of corpus_ —
-  /// the bulk path partitions the (token, doc) stream by owning shard and
-  /// builds shards in parallel on `ctx`.
-  void InsertPostings(size_t first_doc, const ExecutionContext& ctx);
 
   struct Shard {
     /// Token -> member doc ids, in insertion (= doc id) order.

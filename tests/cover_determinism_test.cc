@@ -5,10 +5,13 @@
 // ANY shard count — parallelism may change when work happens, never what
 // is computed. These tests pin that contract for both cover builders and
 // for Dataset::BuildCandidatePairs, mirroring the RunGrid==RunSmp style of
-// grid_consistency_test.cc at the blocking layer.
+// grid_consistency_test.cc at the blocking layer, and pin the dataset's
+// shared blocking substrate against a fresh string-oracle build.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -19,8 +22,12 @@
 #include "blocking/lsh_cover.h"
 #include "core/canopy.h"
 #include "core/cover.h"
+#include "core/cover_assembly.h"
 #include "core/cover_builder.h"
 #include "data/bib_generator.h"
+#include "data/figure1.h"
+#include "stream/incremental_cover.h"
+#include "text/similarity_level.h"
 #include "text/token_index.h"
 #include "util/execution_context.h"
 
@@ -122,25 +129,169 @@ TEST_P(CoverDeterminism, CandidatePairsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_P(CoverDeterminism, LshCandidatePairsIdenticalAcrossContexts) {
-  // The use_lsh generator: identical output for any thread/shard count.
+// ---- Substrate equivalence: every consumer of the dataset's one blocking
+// substrate (candidate pairs, both cover builders, the incremental cover's
+// signatures) must see exactly what a private build from the string oracle
+// (AuthorBlockingTokens -> TokenIndex::AddDocument / MinHasher::Signature)
+// would give it, for any thread and shard count.
+
+/// Serial single-shard index over the oracle token strings, doc id =
+/// position in author_refs().
+text::TokenIndex OracleIndex(const data::Dataset& dataset) {
+  text::TokenIndex index;
+  const std::vector<data::EntityId>& refs = dataset.author_refs();
+  for (size_t i = 0; i < refs.size(); ++i) {
+    index.AddDocument(static_cast<uint32_t>(i),
+                      blocking::AuthorBlockingTokens(dataset.entity(refs[i])));
+  }
+  return index;
+}
+
+/// Candidate pairs from full postings scans of the oracle index, sorted.
+std::vector<data::CandidatePair> OracleCandidatePairs(
+    const data::Dataset& dataset, const text::TokenIndex& index) {
+  const data::CandidateOptions options;
+  const std::vector<data::EntityId>& refs = dataset.author_refs();
+  std::vector<data::CandidatePair> pairs;
+  for (uint32_t i = 0; i < refs.size(); ++i) {
+    const data::Entity& a = dataset.entity(refs[i]);
+    for (const auto& cand : index.Candidates(i, options.min_ngram_overlap)) {
+      if (cand.doc_id <= i) continue;
+      const data::Entity& b = dataset.entity(refs[cand.doc_id]);
+      const text::SimilarityLevel level =
+          text::NameSimilarityLevel(a.first_name, a.last_name, b.first_name,
+                                    b.last_name, options.thresholds);
+      if (level == text::SimilarityLevel::kNone) continue;
+      pairs.push_back({data::EntityPair(a.id, b.id), level});
+    }
+  }
+  std::sort(pairs.begin(), pairs.end(),
+            [](const data::CandidatePair& x, const data::CandidatePair& y) {
+              return x.pair < y.pair;
+            });
+  return pairs;
+}
+
+/// Default-option canopy cover over the oracle index.
+Cover OracleCanopyCover(const data::Dataset& dataset,
+                        const text::TokenIndex& index,
+                        const ExecutionContext& ctx, size_t* pairs) {
+  const core::CanopyOptions options;
+  const auto candidate_fn = [&](uint32_t doc, size_t* num_scored) {
+    std::vector<core::AssemblyCandidate> out;
+    for (const auto& n : index.Candidates(doc, options.loose, num_scored)) {
+      out.push_back({n.doc_id, n.score});
+    }
+    return out;
+  };
+  Cover cover = core::AssembleCanopies(dataset.author_refs(), ctx.seed(),
+                                       options.tight, candidate_fn, ctx,
+                                       pairs);
+  core::PatchPairCoverage(dataset, cover, ctx);
+  core::ExpandCoauthorBoundary(dataset, cover, ctx);
+  return cover;
+}
+
+/// Default-option LSH cover over per-reference oracle signatures.
+Cover OracleLshCover(const data::Dataset& dataset,
+                     const ExecutionContext& ctx, size_t* pairs) {
+  const blocking::LshCoverOptions options;
+  const blocking::MinHasher hasher(options.minhash);
+  const std::vector<data::EntityId>& refs = dataset.author_refs();
+  std::vector<std::vector<uint64_t>> signatures;
+  blocking::LshIndex index(options.lsh, hasher.num_hashes());
+  for (uint32_t i = 0; i < refs.size(); ++i) {
+    signatures.push_back(hasher.Signature(
+        blocking::AuthorBlockingTokens(dataset.entity(refs[i]))));
+    index.AddDocument(i, signatures.back());
+  }
+  const auto candidate_fn = [&](uint32_t doc, size_t* num_scored) {
+    const std::vector<uint32_t> candidates = index.Candidates(doc);
+    *num_scored = candidates.size();
+    std::vector<core::AssemblyCandidate> out;
+    for (uint32_t other : candidates) {
+      const double estimate = blocking::MinHasher::EstimateJaccard(
+          signatures[doc], signatures[other]);
+      if (estimate >= options.loose) out.push_back({other, estimate});
+    }
+    return out;
+  };
+  Cover cover = core::AssembleCanopies(refs, ctx.seed(), options.tight,
+                                       candidate_fn, ctx, pairs);
+  core::PatchPairCoverage(dataset, cover, ctx);
+  core::ExpandCoauthorBoundary(dataset, cover, ctx);
+  return cover;
+}
+
+/// Substrate-built results on `ctx` against the string oracle. Candidate
+/// pairs are compared only when the dataset derived them from the
+/// substrate (`check_pairs`), not when they were registered by hand.
+void ExpectSubstrateMatchesOracle(const data::Dataset& dataset,
+                                  const ExecutionContext& ctx,
+                                  bool check_pairs, const std::string& label) {
+  const text::TokenIndex oracle = OracleIndex(dataset);
+  if (check_pairs) {
+    const std::vector<data::CandidatePair> expected =
+        OracleCandidatePairs(dataset, oracle);
+    ASSERT_EQ(dataset.num_candidate_pairs(), expected.size()) << label;
+    for (data::PairId id = 0; id < expected.size(); ++id) {
+      EXPECT_EQ(dataset.candidate_pair(id).pair, expected[id].pair) << label;
+      EXPECT_EQ(dataset.candidate_pair(id).level, expected[id].level)
+          << label;
+    }
+  }
+
+  size_t expected_pairs = 0;
+  core::BlockingStats stats;
+  const Cover canopy = OracleCanopyCover(dataset, oracle, ctx, &expected_pairs);
+  ExpectSameCover(canopy,
+                  blocking::MakeCoverBuilder(BlockingStrategy::kCanopy)
+                      ->Build(dataset, ctx, &stats),
+                  label + ", canopy");
+  EXPECT_EQ(stats.pairs_considered, expected_pairs) << label << ", canopy";
+
+  const Cover lsh = OracleLshCover(dataset, ctx, &expected_pairs);
+  ExpectSameCover(lsh,
+                  blocking::MakeCoverBuilder(BlockingStrategy::kLsh)
+                      ->Build(dataset, ctx, &stats),
+                  label + ", lsh");
+  EXPECT_EQ(stats.pairs_considered, expected_pairs) << label << ", lsh";
+
+  const stream::IncrementalCover icover(dataset, {}, ctx);
+  const blocking::MinHasher hasher(icover.options().minhash);
+  for (data::EntityId ref : dataset.author_refs()) {
+    EXPECT_EQ(icover.ComputeSignature(ref),
+              hasher.Signature(
+                  blocking::AuthorBlockingTokens(dataset.entity(ref))))
+        << label << ", ref " << ref;
+  }
+}
+
+TEST_P(CoverDeterminism, SubstrateMatchesStringOracleAcrossContexts) {
   data::BibConfig config = data::BibConfig::DblpLike(0.08);
   config.seed = GetParam();
-  data::CandidateOptions options;
-  options.use_lsh = true;
-  ExecutionContext serial(1, /*num_shards=*/1);
-  const auto reference = data::GenerateBibDataset(config, options, serial);
-  for (uint32_t threads : ThreadCounts()) {
-    for (uint32_t shards : {1u, 16u}) {
+  for (uint32_t threads : {1u, 4u}) {
+    for (uint32_t shards : {1u, 32u}) {
       ExecutionContext ctx(threads, shards);
-      const auto dataset = data::GenerateBibDataset(config, options, ctx);
-      ASSERT_EQ(dataset->num_candidate_pairs(),
-                reference->num_candidate_pairs())
-          << threads << " threads, " << shards << " shards";
-      for (data::PairId id = 0; id < dataset->num_candidate_pairs(); ++id) {
-        EXPECT_EQ(dataset->candidate_pair(id).pair,
-                  reference->candidate_pair(id).pair);
-      }
+      const auto dataset = data::GenerateBibDataset(config, {}, ctx);
+      ASSERT_GT(dataset->num_candidate_pairs(), 0u);
+      ExpectSubstrateMatchesOracle(
+          *dataset, ctx, /*check_pairs=*/true,
+          std::to_string(threads) + " threads, " + std::to_string(shards) +
+              " shards");
+    }
+  }
+}
+
+TEST(SubstrateEquivalence, Figure1MatchesStringOracleAcrossContexts) {
+  const data::Figure1 fig = data::MakeFigure1();
+  for (uint32_t threads : {1u, 4u}) {
+    for (uint32_t shards : {1u, 32u}) {
+      ExecutionContext ctx(threads, shards);
+      ExpectSubstrateMatchesOracle(
+          *fig.dataset, ctx, /*check_pairs=*/false,
+          "figure 1, " + std::to_string(threads) + " threads, " +
+              std::to_string(shards) + " shards");
     }
   }
 }
@@ -163,7 +314,16 @@ TEST_P(CoverDeterminism, TokenIndexIdenticalAcrossThreadAndShardCounts) {
     for (uint32_t shards : {1u, 4u, 32u}) {
       ExecutionContext ctx(threads, shards);
       text::TokenIndex index(ctx.num_token_shards());
-      index.AddDocuments(token_sets, ctx);
+      index.AddDocuments(
+          text::TokenCorpus::Build(
+              token_sets.size(),
+              [&](size_t doc, text::TokenCorpus::DocBuilder& builder) {
+                for (const std::string& t : token_sets[doc]) {
+                  builder.EmitLower(t);
+                }
+              },
+              ctx),
+          ctx);
       ASSERT_EQ(index.num_documents(), reference.num_documents());
       EXPECT_EQ(index.num_tokens(), reference.num_tokens());
       EXPECT_EQ(index.num_postings(), reference.num_postings());
@@ -277,27 +437,6 @@ TEST_P(CoverDeterminism, PatchPairCoverageMatchesNaiveReference) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, CoverDeterminism,
                          ::testing::Range<uint64_t>(7100, 7106));
-
-TEST(LshCandidateGeneration, KeepsNearAllTrigramPairsOnNoisyCorpus) {
-  // The banding S-curve (32x2, knee ~0.2) sits well below the 0.25 trigram
-  // overlap prefilter, so the sub-quadratic generator should retain almost
-  // all of the exact path's candidate pairs.
-  const auto exact = MakeCorpus(424242, 0.15);
-  data::BibConfig config = data::BibConfig::DblpLike(0.15);
-  config.seed = 424242;
-  data::CandidateOptions options;
-  options.use_lsh = true;
-  const auto lsh = data::GenerateBibDataset(config, options);
-  ASSERT_GT(exact->num_candidate_pairs(), 0u);
-  size_t kept = 0;
-  for (const data::CandidatePair& cp : exact->candidate_pairs()) {
-    if (lsh->FindCandidatePair(cp.pair.a, cp.pair.b).has_value()) ++kept;
-  }
-  const double recall =
-      static_cast<double>(kept) /
-      static_cast<double>(exact->num_candidate_pairs());
-  EXPECT_GE(recall, 0.9) << kept << "/" << exact->num_candidate_pairs();
-}
 
 }  // namespace
 }  // namespace cem

@@ -117,8 +117,11 @@ TEST_P(FrameworkSweep, PrecisionUsefulOnAllCombinations) {
 TEST_P(FrameworkSweep, TsvRoundTripPreservesPipelineOutput) {
   auto [corpus, which] = GetParam();
   Instance& inst = GetInstance(corpus);
+  // One file per (corpus, matcher): ctest runs the cases as parallel
+  // processes, which must not overwrite or remove each other's file.
   const std::string path = ::testing::TempDir() + "/sweep_" +
-                           CorpusName(corpus) + ".tsv";
+                           CorpusName(corpus) + "_" + MatcherName(which) +
+                           ".tsv";
   ASSERT_TRUE(data::SaveDatasetTsv(*inst.dataset, path).ok());
   auto loaded = data::LoadDatasetTsv(path);
   ASSERT_TRUE(loaded.ok());

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/canopy.h"
 #include "core/cover.h"
 #include "core/match_set.h"
 #include "core/maximal_message.h"
 #include "core/message_passing.h"
+#include "data/bib_generator.h"
 #include "data/figure1.h"
 #include "mln/mln_matcher.h"
 
@@ -235,6 +237,77 @@ TEST_F(Figure1Mp, MmpDominatesSmpDominatesNoMp) {
   EXPECT_TRUE(no_mp.IsSubsetOf(smp));
   EXPECT_TRUE(smp.IsSubsetOf(mmp));
   EXPECT_LT(smp.size(), mmp.size());
+}
+
+/// Counts every black-box call a message-passing run makes; forwards the
+/// rest.
+class CountingMatcher : public ProbabilisticMatcher {
+ public:
+  explicit CountingMatcher(const ProbabilisticMatcher& inner) : inner_(inner) {}
+
+  MatchSet Match(const std::vector<EntityId>& entities,
+                 const MatchSet& positive,
+                 const MatchSet& negative) const override {
+    ++match_calls;
+    return inner_.Match(entities, positive, negative);
+  }
+  MatchSet MatchConditioned(const std::vector<EntityId>& entities,
+                            const MatchSet& positive,
+                            const MatchSet& negative) const override {
+    ++conditioned_calls;
+    return inner_.MatchConditioned(entities, positive, negative);
+  }
+  const data::Dataset& dataset() const override { return inner_.dataset(); }
+  std::vector<EntityPair> EntangledPairs(
+      const std::vector<EntityId>& entities, const MatchSet& evidence,
+      const MatchSet& base) const override {
+    return inner_.EntangledPairs(entities, evidence, base);
+  }
+  double Score(const MatchSet& matches) const override {
+    return inner_.Score(matches);
+  }
+  double ScoreDelta(const MatchSet& current,
+                    const std::vector<EntityPair>& additions) const override {
+    return inner_.ScoreDelta(current, additions);
+  }
+
+  mutable size_t match_calls = 0;
+  mutable size_t conditioned_calls = 0;
+
+ private:
+  const ProbabilisticMatcher& inner_;
+};
+
+/// Runs MMP through a counting decorator and checks the reported
+/// matcher_calls equals the calls the matcher actually received.
+void ExpectExactMmpMatcherCalls(const ProbabilisticMatcher& inner,
+                                const Cover& cover) {
+  const CountingMatcher counting(inner);
+  const MpResult mmp = RunMmp(counting, cover);
+  EXPECT_EQ(counting.match_calls, mmp.neighborhood_evaluations);
+  EXPECT_GT(counting.conditioned_calls, 0u);
+  EXPECT_EQ(mmp.matcher_calls,
+            counting.match_calls + counting.conditioned_calls);
+  // The decorator is transparent: same answer as the bare matcher.
+  EXPECT_EQ(mmp.matches, RunMmp(inner, cover).matches);
+}
+
+TEST_F(Figure1Mp, MmpMatcherCallsAreExact) {
+  ExpectExactMmpMatcherCalls(matcher_, cover_);
+}
+
+TEST(MmpMatcherCalls, ExactOnHepthLikeCorpus) {
+  const auto dataset =
+      data::GenerateBibDataset(data::BibConfig::HepthLike(0.05));
+  const mln::MlnMatcher matcher(*dataset);
+  ExpectExactMmpMatcherCalls(matcher, BuildCanopyCover(*dataset));
+}
+
+TEST_F(Figure1Mp, SmpMatcherCallsAreExact) {
+  const CountingMatcher counting(matcher_);
+  const MpResult smp = RunSmp(counting, cover_);
+  EXPECT_EQ(counting.conditioned_calls, 0u);
+  EXPECT_EQ(smp.matcher_calls, counting.match_calls);
 }
 
 TEST_F(Figure1Mp, MmpWithoutMergeMissesTheChain) {

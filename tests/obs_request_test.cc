@@ -207,6 +207,7 @@ TEST(SlowQueryLogTest, ToJsonIsAnArrayOfTraceObjects) {
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json[json.find_last_not_of(" \n")], ']');
   EXPECT_NE(json.find("\"query_id\": 1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"wait_us\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"total_us\""), std::string::npos) << json;
   log.Clear();
   EXPECT_EQ(log.slow_count(), 0u);
@@ -316,7 +317,8 @@ std::unique_ptr<data::Dataset> MakeSmallBib(uint64_t seed) {
 
 void ExpectMonotoneStages(const QueryTrace& t, const std::string& label) {
   EXPECT_GT(t.query_id, 0u) << label;
-  EXPECT_GE(t.signature_us, 0.0) << label;
+  EXPECT_GE(t.wait_us, 0.0) << label;
+  EXPECT_LE(t.wait_us, t.signature_us) << label;
   EXPECT_LE(t.signature_us, t.probe_us) << label;
   EXPECT_LE(t.probe_us, t.rank_us) << label;
   EXPECT_LE(t.rank_us, t.cover_us) << label;

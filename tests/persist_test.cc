@@ -23,7 +23,6 @@
 #include "persist/snapshot.h"
 #include "persist/wal.h"
 #include "stream/streaming_matcher.h"
-#include "text/token_index.h"
 #include "util/execution_context.h"
 #include "util/io.h"
 #include "util/random.h"
@@ -479,55 +478,6 @@ TEST(SnapshotRobustness, ImplausibleInsertCountIsRejectedNotAllocated) {
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("implausible insert count"),
             std::string::npos);
-}
-
-// --- token index ------------------------------------------------------------
-
-TEST(TokenIndexPersistence, RoundTripsAcrossShardCounts) {
-  std::vector<std::vector<std::string>> docs = {
-      {"Alice", "Smith", "graph"},
-      {"alice", "smith", "graphs"},
-      {"Bob", "Jones"},
-      {"carol", "smith", "entity", "matching"},
-      {},
-      {"entity", "matching", "survey"},
-  };
-  ExecutionContext ctx(2, /*num_shards=*/3);
-  text::TokenIndex original(3);
-  original.AddDocuments(docs, ctx);
-  const std::string dir = ScratchDir("token_index");
-  ASSERT_TRUE(persist::SaveTokenIndex(dir, original, ctx).ok());
-
-  for (const uint32_t shards : {1u, 3u, 8u}) {
-    text::TokenIndex loaded(shards);
-    ASSERT_TRUE(persist::LoadTokenIndex(dir, loaded, ctx).ok()) << shards;
-    EXPECT_EQ(loaded.num_documents(), original.num_documents());
-    EXPECT_EQ(loaded.num_tokens(), original.num_tokens());
-    EXPECT_EQ(loaded.num_postings(), original.num_postings());
-    for (uint32_t doc = 0; doc < original.num_documents(); ++doc) {
-      const auto expected_tokens = original.doc_tokens(doc);
-      const auto actual_tokens = loaded.doc_tokens(doc);
-      ASSERT_EQ(actual_tokens.size(), expected_tokens.size()) << "doc " << doc;
-      for (size_t t = 0; t < expected_tokens.size(); ++t) {
-        EXPECT_EQ(actual_tokens[t].view(), expected_tokens[t].view());
-        EXPECT_EQ(actual_tokens[t].hash, expected_tokens[t].hash);
-      }
-    }
-    for (uint32_t doc = 0; doc < original.num_documents(); ++doc) {
-      size_t scored_original = 0;
-      size_t scored_loaded = 0;
-      const auto expected = original.Candidates(doc, 0.2, &scored_original);
-      const auto actual = loaded.Candidates(doc, 0.2, &scored_loaded);
-      ASSERT_EQ(actual.size(), expected.size()) << "doc " << doc;
-      EXPECT_EQ(scored_loaded, scored_original);
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(actual[i].doc_id, expected[i].doc_id);
-        EXPECT_DOUBLE_EQ(actual[i].score, expected[i].score);
-      }
-    }
-    // A non-empty index refuses to load over itself.
-    EXPECT_FALSE(persist::LoadTokenIndex(dir, loaded, ctx).ok());
-  }
 }
 
 // --- WAL --------------------------------------------------------------------

@@ -206,22 +206,26 @@ TEST(MinHasherEquivalence, SignatureFromHashesMatchesStringSignature) {
 }
 
 TEST(MinHasherEquivalence, BlockingTokenHashesMatchStringTokenHashes) {
-  // The hash-only streaming tokeniser must produce the same multiset of
-  // base hashes as hashing the AuthorBlockingTokens strings — MinHash is
-  // order- and duplicate-invariant, so equal sorted hash lists guarantee
-  // equal signatures.
+  // The dataset's blocking substrate must hold, per reference, exactly the
+  // set of base hashes of the AuthorBlockingTokens strings — MinHash is
+  // order- and duplicate-invariant, so equal sorted unique hash lists
+  // guarantee equal signatures.
   const auto dataset =
       data::GenerateBibDataset(data::BibConfig::DblpLike(0.05));
   ASSERT_FALSE(dataset->author_refs().empty());
   for (data::EntityId ref : dataset->author_refs()) {
-    const data::Entity& entity = dataset->entity(ref);
     std::vector<uint64_t> expected;
-    for (const std::string& token : blocking::AuthorBlockingTokens(entity)) {
+    for (const std::string& token :
+         blocking::AuthorBlockingTokens(dataset->entity(ref))) {
       expected.push_back(Fnv1a64(token));
     }
-    std::vector<uint64_t> actual;
-    blocking::AppendAuthorBlockingTokenHashes(entity, &actual);
     std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    std::vector<uint64_t> actual;
+    for (const text::TokenRef& token : dataset->BlockingTokens(ref)) {
+      actual.push_back(token.hash);
+    }
     std::sort(actual.begin(), actual.end());
     EXPECT_EQ(actual, expected) << "entity " << ref;
   }

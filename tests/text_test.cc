@@ -9,7 +9,6 @@
 
 #include "text/jaccard.h"
 #include "text/jaro_winkler.h"
-#include "text/levenshtein.h"
 #include "text/similarity_level.h"
 #include "text/token_arena.h"
 #include "text/token_index.h"
@@ -64,30 +63,6 @@ TEST(JaroWinklerTest, PrefixBoostsScore) {
 TEST(JaroWinklerTest, BoundedByOne) {
   EXPECT_LE(JaroWinklerSimilarity("aaaa", "aaaa"), 1.0);
   EXPECT_LE(JaroWinklerSimilarity("aaaab", "aaaac", 0.25), 1.0);
-}
-
-// ----------------------------------------------------------- Levenshtein --
-
-TEST(LevenshteinTest, KnownDistances) {
-  EXPECT_EQ(LevenshteinDistance("kitten", "sitting"), 3u);
-  EXPECT_EQ(LevenshteinDistance("flaw", "lawn"), 2u);
-  EXPECT_EQ(LevenshteinDistance("", "abc"), 3u);
-  EXPECT_EQ(LevenshteinDistance("abc", ""), 3u);
-  EXPECT_EQ(LevenshteinDistance("same", "same"), 0u);
-}
-
-TEST(LevenshteinTest, SymmetricAndTriangle) {
-  const std::string a = "smith", b = "smyth", c = "smythe";
-  EXPECT_EQ(LevenshteinDistance(a, b), LevenshteinDistance(b, a));
-  EXPECT_LE(LevenshteinDistance(a, c),
-            LevenshteinDistance(a, b) + LevenshteinDistance(b, c));
-}
-
-TEST(LevenshteinTest, SimilarityNormalised) {
-  EXPECT_DOUBLE_EQ(LevenshteinSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(LevenshteinSimilarity("abc", "abc"), 1.0);
-  EXPECT_DOUBLE_EQ(LevenshteinSimilarity("abc", "xyz"), 0.0);
-  EXPECT_NEAR(LevenshteinSimilarity("abcd", "abcx"), 0.75, 1e-9);
 }
 
 // -------------------------------------------------------------- Jaccard --
@@ -253,7 +228,15 @@ TEST(TokenIndexTest, AddDocumentsMatchesSerialInsertion) {
   }
   ExecutionContext ctx(3, /*num_shards=*/5);
   TokenIndex bulk(ctx.num_token_shards());
-  bulk.AddDocuments(docs, ctx);
+  bulk.AddDocuments(TokenCorpus::Build(
+                        docs.size(),
+                        [&](size_t doc, TokenCorpus::DocBuilder& builder) {
+                          for (const std::string& t : docs[doc]) {
+                            builder.EmitLower(t);
+                          }
+                        },
+                        ctx),
+                    ctx);
   EXPECT_EQ(bulk.num_documents(), serial.num_documents());
   EXPECT_EQ(bulk.num_tokens(), serial.num_tokens());
   EXPECT_EQ(bulk.num_postings(), serial.num_postings());
