@@ -24,12 +24,15 @@
 // work counters (see bench/bench_diff.cc).
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "blocking/blocking_tokens.h"
 #include "blocking/lsh_cover.h"
+#include "blocking/lsh_index.h"
+#include "blocking/minhash_simd.h"
 #include "core/canopy.h"
 #include "core/message_passing.h"
 #include "mln/mln_matcher.h"
@@ -237,14 +240,17 @@ int main() {
   report.Table("scaling", scaling_table);
   report.Metric("lsh_build_speedup_8t", lsh_speedup_8t);
 
-  // ---- Stage scaling: the two formerly-serial stages. -------------------
+  // ---- Stage scaling: the two formerly-serial stages, plus the LSH index.
   // Sharded TokenIndex construction and PatchPairCoverage were the last
   // serial choke points of cover construction; both now run on the context
   // pool with bit-identical output (and counters) for any thread count.
+  // The sharded LSH bucket index is built the same way, and its footprint
+  // is tracked as a counter.
   std::printf("\nStage scaling (largest DBLP-like dataset):\n");
   TableWriter stage_table({"stage", "threads", "sec", "speedup", "identical"});
   size_t token_index_postings = 0;
   size_t patch_pairs_patched = 0;
+  size_t lsh_index_memory_bytes = 0;
   {
     // The dataset's blocking substrate build (what Dataset::Finalize runs):
     // tokenize every author ref into a flat corpus, then sharded postings.
@@ -314,10 +320,55 @@ int main() {
                           TableWriter::Num(patch_base_seconds / seconds, 2),
                           identical ? "yes" : "NO"});
     }
+
+    // The LSH cover's bucket index, built alone over the same corpus with
+    // the cover builder's MinHash/banding parameters. The shard count is
+    // pinned so the footprint counter is host-independent (each shard
+    // sizes its own bucket table).
+    const blocking::LshCoverOptions lsh_options;
+    const blocking::MinHasher hasher(lsh_options.minhash);
+    std::vector<std::vector<uint64_t>> signatures(refs.size());
+    for (size_t i = 0; i < refs.size(); ++i) {
+      const std::span<const text::TokenRef> tokens =
+          scaling_dataset->BlockingTokens(refs[i]);
+      signatures[i].resize(hasher.num_hashes());
+      blocking::simd::MinHashSignatureRefs(
+          tokens.data(), tokens.size(), hasher.salts().data(),
+          hasher.num_hashes(), signatures[i].data(),
+          blocking::ActiveSimdLevel());
+    }
+    constexpr uint32_t kIndexShards = 32;
+    size_t lsh_reference_buckets = 0;
+    double lsh_base_seconds = 0.0;
+    for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
+      ExecutionContext ctx(threads, kIndexShards);
+      Timer timer;
+      blocking::LshIndex index(lsh_options.lsh, hasher.num_hashes(),
+                               kIndexShards);
+      index.AddDocuments(signatures, ctx);
+      const double seconds = timer.ElapsedSeconds();
+      bool identical = true;
+      if (threads == 1) {
+        lsh_base_seconds = seconds;
+        lsh_reference_buckets = index.num_buckets();
+        lsh_index_memory_bytes = index.memory_bytes();
+      } else {
+        identical = index.num_buckets() == lsh_reference_buckets &&
+                    index.memory_bytes() == lsh_index_memory_bytes;
+      }
+      CEM_CHECK(identical) << "LSH index changed at " << threads
+                           << " threads";
+      stage_table.AddRow({"LSH bucket index build", std::to_string(threads),
+                          bench::Secs(seconds),
+                          TableWriter::Num(lsh_base_seconds / seconds, 2),
+                          identical ? "yes" : "NO"});
+    }
   }
   report.Table("stage_scaling", stage_table);
   report.Metric("counter_token_index_postings",
                 static_cast<double>(token_index_postings));
+  report.Metric("counter_lsh_index_memory_bytes",
+                static_cast<double>(lsh_index_memory_bytes));
   report.Metric("counter_patch_pairs_patched",
                 static_cast<double>(patch_pairs_patched));
 

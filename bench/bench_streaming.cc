@@ -48,6 +48,10 @@ int main() {
       "re-converges to the batch fixpoint");
   bench::JsonReport report("bench_streaming");
   const ExecutionContext& ctx = ExecutionContext::Default();
+  // The replays pin the LSH shard count (same worker count): each shard
+  // sizes its own bucket table, so the index-footprint counter is only
+  // host-independent for a fixed shard count. Nothing else depends on it.
+  const ExecutionContext stream_ctx(ctx.num_threads(), /*num_shards=*/16);
 
   // --- equivalence: arrival orders x chunk sizes, streamed == batch.
   TableWriter equivalence(
@@ -66,6 +70,7 @@ int main() {
   size_t counter_evaluations = 0;
   size_t counter_pairs_patched = 0;
   size_t counter_lsh_candidates = 0;
+  size_t counter_lsh_memory_bytes = 0;
   bool all_equal = true;
 
   struct Corpus {
@@ -94,7 +99,7 @@ int main() {
     const double batch_seconds = batch_timer.ElapsedSeconds();
 
     stream::StreamingOptions options;
-    options.context = &ctx;
+    options.context = &stream_ctx;
 
     // Equivalence sweep: 3 arrival orders, alternating chunk sizes.
     const size_t chunks[] = {16, 48, 0};  // 0 = one Add() per reference.
@@ -139,6 +144,7 @@ int main() {
         counter_evaluations += s.matching.neighborhood_evaluations;
         counter_pairs_patched += s.ingest.pairs_patched;
         counter_lsh_candidates += s.ingest.lsh_candidates_scanned;
+        counter_lsh_memory_bytes += replay.lsh_memory_bytes;
       }
     }
   }
@@ -198,6 +204,8 @@ int main() {
                 static_cast<double>(counter_pairs_patched));
   report.Metric("counter_stream_lsh_candidates",
                 static_cast<double>(counter_lsh_candidates));
+  report.Metric("counter_stream_lsh_memory_bytes",
+                static_cast<double>(counter_lsh_memory_bytes));
   report.Write();
   return all_equal ? 0 : 1;
 }

@@ -3,12 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "blocking/minhash_simd.h"
 #include "util/execution_context.h"
+#include "util/status.h"
 
 namespace cem::blocking {
 
@@ -33,6 +34,15 @@ struct LshParams {
 /// always safe. The shard count never changes what the index contains:
 /// bucket membership, Candidates() and the work counters are bit-identical
 /// for any shard count.
+///
+/// Layout: every (document, band) pair is one *entry*, numbered
+/// doc * bands + band, and the buckets are chains through those entries.
+/// `next_` (parallel to the per-document band keys) links each entry to the
+/// previous member of its bucket, and each shard keeps a flat
+/// open-addressing table of chain heads — the newest entry of each bucket,
+/// whose band key is the bucket key, so slots store no key. A chain runs
+/// from the newest member back to the oldest; walks that need insertion
+/// (= doc id) order reverse it. Entries and links only ever grow.
 class LshIndex {
  public:
   /// `num_hashes` is the signature length documents will be added with;
@@ -67,6 +77,10 @@ class LshIndex {
 
   /// Number of distinct non-empty buckets across all bands.
   size_t num_buckets() const;
+  /// Number of buckets shard `shard` owns.
+  size_t num_buckets(size_t shard) const {
+    return shards_[shard].num_buckets;
+  }
 
   /// Documents sharing at least one band bucket with `doc_id`, sorted by
   /// doc id, deduplicated, excluding `doc_id` itself. Thread-safe against
@@ -103,26 +117,45 @@ class LshIndex {
   /// this chain must never change — only get faster.
   std::vector<uint64_t> BandKeys(const std::vector<uint64_t>& signature) const;
 
-  /// Bucket key -> member doc ids, in insertion (= doc id) order.
-  using BucketMap = std::unordered_map<uint64_t, std::vector<uint32_t>>;
+  /// Heap bytes of the index: bucket-table slots, per-entry band keys and
+  /// chain links, and per-document flags — computed from slot and entry
+  /// counts, so it is deterministic for a fixed shard count and insertion
+  /// sequence (the bench regression gate tracks it).
+  size_t memory_bytes() const;
 
-  /// Read-only view of one shard's buckets — what the snapshot saver
-  /// serialises (sorted by key at write time; map order is incidental).
-  const BucketMap& shard_buckets(size_t shard) const {
-    return shards_[shard].buckets;
-  }
+  /// Visits one shard's buckets in ascending key order: `fn(key, docs)`
+  /// with the members in insertion order. What the snapshot writer walks;
+  /// the span is only valid during the call.
+  void ForEachBucket(
+      size_t shard,
+      const std::function<void(uint64_t, std::span<const uint32_t>)>& fn)
+      const;
 
-  /// Restores a saved index wholesale: installs per-shard bucket maps
-  /// captured from an index with the same shard count, and re-derives each
-  /// document's band keys from `signatures` in parallel on `ctx`. The
-  /// index must be empty and `buckets.size()` must equal num_shards();
-  /// callers holding a different shard count rebuild via AddDocuments
-  /// instead (identical queries either way — the shard-count contract).
-  void RestoreSnapshot(std::vector<BucketMap> buckets,
-                       const std::vector<std::vector<uint64_t>>& signatures,
-                       const ExecutionContext& ctx);
+  /// The buckets of one saved shard file, flattened: bucket i has key
+  /// keys[i] (ascending) and members docs[offsets[i] .. offsets[i+1]).
+  struct SavedBuckets {
+    std::vector<uint64_t> keys;
+    std::vector<uint32_t> offsets{0};
+    std::vector<uint32_t> docs;
+  };
+
+  /// Checks saved bucket files against this index: file s of `saved`
+  /// must hold exactly the buckets whose key falls in shard s of
+  /// saved.size() shards, with identical members in identical order, and
+  /// together the files must hold every bucket. Any shard count works —
+  /// bucket contents do not depend on it. InvalidArgument on a mismatch.
+  Status CheckSavedBuckets(const std::vector<SavedBuckets>& saved) const;
 
  private:
+  static constexpr uint32_t kNoEntry = UINT32_MAX;
+
+  /// Open addressing with linear probing over a power-of-two table of
+  /// chain heads (kNoEntry = empty slot), kept at most 3/4 full.
+  struct Shard {
+    std::vector<uint32_t> heads;
+    size_t num_buckets = 0;
+  };
+
   /// Shard owning bucket `key`; keys are already avalanche-mixed, so the
   /// low bits partition uniformly.
   size_t ShardOf(uint64_t key) const { return key % shards_.size(); }
@@ -143,13 +176,23 @@ class LshIndex {
   void ReserveDoc(uint32_t doc_id);
 
   /// Bulk-insert backend shared by both AddDocuments overloads: partitions
-  /// the already-computed doc_band_keys_ stream by owning shard (in doc
-  /// order), then each worker builds the buckets of the shards it owns.
+  /// the already-computed entries by owning shard (in entry order), then
+  /// each worker links the entries of the shards it owns.
   void InsertBandKeys(const ExecutionContext& ctx);
 
-  struct Shard {
-    BucketMap buckets;
-  };
+  /// Linear probe for `key` in a non-empty head table: the slot holding
+  /// its bucket, or the empty slot where the bucket belongs.
+  size_t Probe(const std::vector<uint32_t>& heads, uint64_t key) const;
+
+  /// Prepends `entry` (whose key is doc_band_keys_[entry]) to its bucket.
+  void Link(Shard& shard, uint32_t entry);
+
+  /// The newest entry of bucket `key`, or kNoEntry when no bucket has it.
+  uint32_t BucketHead(uint64_t key) const;
+
+  /// Appends the members of the chain starting at `head` to `out`, newest
+  /// first.
+  void AppendChain(uint32_t head, std::vector<uint32_t>& out) const;
 
   LshParams params_;
   uint32_t num_hashes_;
@@ -159,6 +202,9 @@ class LshIndex {
   /// Flat row-major per-document band keys: doc * bands + band. Docs never
   /// added (id gaps) hold zeros and are flagged off in doc_added_.
   std::vector<uint64_t> doc_band_keys_;
+  /// Chain links, parallel to doc_band_keys_: the previous (older) entry
+  /// of the same bucket, or kNoEntry at the oldest.
+  std::vector<uint32_t> next_;
   std::vector<uint8_t> doc_added_;
 };
 

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/epoch_set.h"
 #include "util/logging.h"
 
 namespace cem::core {
@@ -22,6 +23,21 @@ void Normalize(std::vector<data::EntityId>& entities) {
 bool ContainsSorted(const std::vector<data::EntityId>& sorted,
                     data::EntityId e) {
   return std::binary_search(sorted.begin(), sorted.end(), e);
+}
+
+/// Calls `fn(id)` for every candidate pair with both endpoints in `n`,
+/// once each; `members` is scratch for the membership test.
+template <typename Fn>
+void ForEachContainedPair(const data::Dataset& dataset, const Neighborhood& n,
+                          EpochSet& members, Fn&& fn) {
+  members.Reset(dataset.num_entities());
+  for (data::EntityId e : n.entities) members.Insert(e);
+  for (data::EntityId e : n.entities) {
+    for (data::PairId id : dataset.PairsOfEntity(e)) {
+      const data::EntityPair p = dataset.candidate_pair(id).pair;
+      if (p.a == e && members.Contains(p.b)) fn(id);
+    }
+  }
 }
 
 }  // namespace
@@ -60,14 +76,10 @@ double Cover::MeanNeighborhoodSize() const {
 }
 
 size_t Cover::TotalContainedPairs(const data::Dataset& dataset) const {
+  EpochSet members;
   size_t total = 0;
   for (const Neighborhood& n : neighborhoods_) {
-    for (data::EntityId e : n.entities) {
-      for (data::PairId id : dataset.PairsOfEntity(e)) {
-        const data::EntityPair p = dataset.candidate_pair(id).pair;
-        if (p.a == e && ContainsSorted(n.entities, p.b)) ++total;
-      }
-    }
+    ForEachContainedPair(dataset, n, members, [&](data::PairId) { ++total; });
   }
   return total;
 }
@@ -103,18 +115,18 @@ bool Cover::IsTotalForCoauthor(const data::Dataset& dataset) const {
 
 double Cover::CandidatePairCoverage(const data::Dataset& dataset) const {
   if (dataset.num_candidate_pairs() == 0) return 1.0;
-  std::unordered_set<uint64_t> covered;
+  EpochSet members;
+  std::vector<uint8_t> covered(dataset.num_candidate_pairs(), 0);
+  size_t num_covered = 0;
   for (const Neighborhood& n : neighborhoods_) {
-    for (data::EntityId e : n.entities) {
-      for (data::PairId id : dataset.PairsOfEntity(e)) {
-        const data::EntityPair p = dataset.candidate_pair(id).pair;
-        if (p.a == e && ContainsSorted(n.entities, p.b)) {
-          covered.insert(data::PairKey(p));
-        }
+    ForEachContainedPair(dataset, n, members, [&](data::PairId id) {
+      if (!covered[id]) {
+        covered[id] = 1;
+        ++num_covered;
       }
-    }
+    });
   }
-  return static_cast<double>(covered.size()) /
+  return static_cast<double>(num_covered) /
          static_cast<double>(dataset.num_candidate_pairs());
 }
 
@@ -284,11 +296,17 @@ void ExpandCoauthorBoundary(const data::Dataset& dataset, Cover& cover,
   // Each iteration mutates only neighborhood i (AddEntityTo never resizes
   // the neighborhood vector itself), so neighborhoods expand in parallel
   // without synchronisation; AddEntityTo keeps members sorted/unique, so
-  // the unordered boundary iteration order does not affect the result.
+  // the boundary's collection order does not affect the result.
   ParallelFor(ctx.pool(), cover.size(), [&](size_t i) {
-    std::unordered_set<data::EntityId> boundary;
+    thread_local EpochSet seen;
+    thread_local std::vector<data::EntityId> boundary;
+    seen.Reset(dataset.num_entities());
+    boundary.clear();
+    for (data::EntityId e : cover.neighborhood(i).entities) seen.Insert(e);
     for (data::EntityId e : cover.neighborhood(i).entities) {
-      for (data::EntityId c : dataset.Coauthors(e)) boundary.insert(c);
+      for (data::EntityId c : dataset.Coauthors(e)) {
+        if (seen.Insert(c)) boundary.push_back(c);
+      }
     }
     for (data::EntityId c : boundary) cover.AddEntityTo(i, c);
   });

@@ -167,6 +167,8 @@ StreamingReplayResult ReplayStreaming(const core::Matcher& matcher,
   result.matches = streaming.matches();
   result.stats = streaming.stats();
   result.num_refs = refs.size();
+  result.lsh_memory_bytes =
+      streaming.incremental_cover().lsh_index().memory_bytes();
   return result;
 }
 

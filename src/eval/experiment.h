@@ -120,6 +120,9 @@ struct StreamingReplayResult {
   stream::StreamingStats stats;
   size_t num_refs = 0;
   size_t num_chunks = 0;
+  /// Heap footprint of the LSH bucket index after the last chunk
+  /// (blocking::LshIndex::memory_bytes; depends on the shard count).
+  size_t lsh_memory_bytes = 0;
 };
 
 /// The streaming workload: replays the matcher's full corpus through a

@@ -8,6 +8,7 @@ namespace cem::mln {
 
 PairGraph PairGraph::Build(const data::Dataset& dataset) {
   PairGraph graph;
+  graph.num_entities_ = dataset.num_entities();
   graph.nodes_.resize(dataset.num_candidate_pairs());
   for (data::PairId id = 0; id < dataset.num_candidate_pairs(); ++id) {
     Node& node = graph.nodes_[id];

@@ -44,6 +44,9 @@ class PairGraph {
 
   const Node& node(data::PairId id) const { return nodes_[id]; }
   size_t num_nodes() const { return nodes_.size(); }
+  /// Entity-id universe of the dataset the graph was built over (every
+  /// pair endpoint and shared coauthor is below it).
+  size_t num_entities() const { return num_entities_; }
 
   /// Global (whole-dataset) unary weight of pair `id`: similarity rule +
   /// one reflexive grounding per shared coauthor.
@@ -54,6 +57,7 @@ class PairGraph {
 
  private:
   std::vector<Node> nodes_;
+  size_t num_entities_ = 0;
   size_t num_links_ = 0;
 };
 

@@ -1,8 +1,5 @@
 #include "mln/mln_matcher.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "mln/map_inference.h"
 #include "util/logging.h"
 
@@ -16,10 +13,9 @@ MlnMatcher::MlnMatcher(const data::Dataset& dataset, MlnWeights weights)
 core::MatchSet MlnMatcher::Match(const std::vector<data::EntityId>& entities,
                                  const core::MatchSet& positive,
                                  const core::MatchSet& negative) const {
-  std::unordered_set<data::EntityId> members(entities.begin(), entities.end());
   InferenceStats stats;
   core::MatchSet out = SolveNeighborhoodMap(*dataset_, graph_, weights_,
-                                            members, positive, negative,
+                                            entities, positive, negative,
                                             &stats);
   num_runs_.fetch_add(1, std::memory_order_relaxed);
   total_free_vars_.fetch_add(stats.num_variables, std::memory_order_relaxed);
@@ -29,31 +25,7 @@ core::MatchSet MlnMatcher::Match(const std::vector<data::EntityId>& entities,
 std::vector<data::EntityPair> MlnMatcher::EntangledPairs(
     const std::vector<data::EntityId>& entities,
     const core::MatchSet& evidence, const core::MatchSet& base) const {
-  const std::unordered_set<data::EntityId> members(entities.begin(),
-                                                   entities.end());
-  auto in_members = [&](data::EntityId e) { return members.count(e) > 0; };
-  auto unresolved = [&](data::PairId id) {
-    const data::EntityPair p = graph_.node(id).pair;
-    return in_members(p.a) && in_members(p.b) && !base.Contains(p) &&
-           !evidence.Contains(p);
-  };
-
-  std::vector<data::EntityPair> out;
-  std::unordered_set<uint64_t> seen;
-  for (data::EntityId e : entities) {
-    for (data::PairId id : dataset_->PairsOfEntity(e)) {
-      const data::EntityPair p = graph_.node(id).pair;
-      if (p.a != e || !unresolved(id)) continue;
-      for (data::PairId q : graph_.node(id).links) {
-        if (unresolved(q)) {
-          if (seen.insert(data::PairKey(p)).second) out.push_back(p);
-          break;
-        }
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return EntangledPairsOf(*dataset_, graph_, entities, evidence, base);
 }
 
 double MlnMatcher::Score(const core::MatchSet& matches) const {

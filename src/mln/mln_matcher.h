@@ -25,7 +25,8 @@ namespace cem::mln {
 /// its implicant. Property tests verify this empirically.
 ///
 /// Thread safety: Match/Score/ScoreDelta are const and safe to call
-/// concurrently (the GridExecutor does); the run counters are atomic.
+/// concurrently (the GridExecutor does); neighborhood solves use per-thread
+/// scratch (see map_inference.h) and the run counters are atomic.
 class MlnMatcher : public core::ProbabilisticMatcher {
  public:
   /// Builds the ground network for `dataset`. The dataset must outlive the

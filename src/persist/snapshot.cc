@@ -236,22 +236,18 @@ Status SaveSnapshot(const std::string& dir,
         (snap_dir / ShardFileName("sig", s)).string(), kSnapshotMagic,
         kSnapshotVersion, sig.bytes(), faults, sync);
     if (status.ok()) {
-      const blocking::LshIndex::BucketMap& buckets = index.shard_buckets(s);
-      std::vector<uint64_t> bucket_keys;
-      bucket_keys.reserve(buckets.size());
-      for (const auto& [key, docs] : buckets) bucket_keys.push_back(key);
-      std::sort(bucket_keys.begin(), bucket_keys.end());
+      // The shard's bucket chains, walked in ascending key order.
       io::Buffer lsh;
       lsh.PutU8(static_cast<uint8_t>(Section::kLshShard));
       lsh.PutU32(static_cast<uint32_t>(s));
       lsh.PutU32(static_cast<uint32_t>(num_shards));
-      lsh.PutU64(bucket_keys.size());
-      for (uint64_t key : bucket_keys) {
-        const std::vector<uint32_t>& docs = buckets.at(key);
-        lsh.PutU64(key);
-        lsh.PutU32(static_cast<uint32_t>(docs.size()));
-        for (uint32_t doc : docs) lsh.PutU32(doc);
-      }
+      lsh.PutU64(index.num_buckets(s));
+      index.ForEachBucket(
+          s, [&lsh](uint64_t key, std::span<const uint32_t> docs) {
+            lsh.PutU64(key);
+            lsh.PutU32(static_cast<uint32_t>(docs.size()));
+            for (uint32_t doc : docs) lsh.PutU32(doc);
+          });
       status = io::WriteFramedFile((snap_dir / ShardFileName("lsh", s)).string(),
                                    kSnapshotMagic, kSnapshotVersion,
                                    lsh.bytes(), faults, sync);
@@ -508,65 +504,59 @@ Status LoadSnapshot(const std::string& snap_dir,
     return InvalidArgumentError(snap_dir + ": signature shards miss slots");
   }
 
-  // LSH shard files: the fast path only applies when the live index has
-  // the snapshot's shard count; otherwise the restore rebuilds the buckets
-  // from the signatures (identical queries — the shard-count contract).
-  if (cover.lsh_index().num_shards() == file_shards) {
-    state.cover.lsh_buckets.resize(file_shards);
-    std::vector<Status> lsh_status(file_shards);
-    ParallelFor(ctx.pool(), file_shards, [&](size_t s) {
-      std::string payload;
-      Status status = ReadSection((base / ShardFileName("lsh", s)).string(),
-                                  Section::kLshShard, &payload);
-      if (!status.ok()) {
-        lsh_status[s] = status;
-        return;
-      }
-      io::Cursor in(std::string_view(payload).substr(1));
-      const uint32_t shard = in.GetU32();
-      const uint32_t total = in.GetU32();
-      const uint64_t buckets = in.GetU64();
-      if (shard != s || total != file_shards) {
+  // LSH shard files: the restore rebuilds the buckets from the signatures
+  // and checks these against the rebuilt chains, for any shard count
+  // (bucket contents do not depend on it).
+  state.cover.lsh_buckets.resize(file_shards);
+  std::vector<Status> lsh_status(file_shards);
+  ParallelFor(ctx.pool(), file_shards, [&](size_t s) {
+    std::string payload;
+    Status status = ReadSection((base / ShardFileName("lsh", s)).string(),
+                                Section::kLshShard, &payload);
+    if (!status.ok()) {
+      lsh_status[s] = status;
+      return;
+    }
+    io::Cursor in(std::string_view(payload).substr(1));
+    const uint32_t shard = in.GetU32();
+    const uint32_t total = in.GetU32();
+    const uint64_t buckets = in.GetU64();
+    if (shard != s || total != file_shards) {
+      lsh_status[s] =
+          InvalidArgumentError(snap_dir + ": LSH shard header mismatch");
+      return;
+    }
+    blocking::LshIndex::SavedBuckets& saved = state.cover.lsh_buckets[s];
+    saved.keys.reserve(io::ClampCount(buckets, in.remaining(), 12));
+    for (uint64_t b = 0; b < buckets && in.ok(); ++b) {
+      const uint64_t key = in.GetU64();
+      const uint32_t size = in.GetU32();
+      if ((!saved.keys.empty() && key <= saved.keys.back()) || size == 0) {
         lsh_status[s] =
-            InvalidArgumentError(snap_dir + ": LSH shard header mismatch");
+            InvalidArgumentError(snap_dir + ": malformed LSH bucket");
         return;
       }
-      blocking::LshIndex::BucketMap map;
-      map.reserve(io::ClampCount(buckets, in.remaining(), 12));
-      uint64_t previous_key = 0;
-      bool first = true;
-      for (uint64_t b = 0; b < buckets && in.ok(); ++b) {
-        const uint64_t key = in.GetU64();
-        const uint32_t size = in.GetU32();
-        if ((!first && key <= previous_key) || size == 0) {
+      saved.keys.push_back(key);
+      const size_t first = saved.docs.size();
+      for (uint32_t d = 0; d < size && in.ok(); ++d) {
+        const uint32_t doc = in.GetU32();
+        if (doc >= n ||
+            (saved.docs.size() > first && saved.docs.back() >= doc)) {
           lsh_status[s] =
               InvalidArgumentError(snap_dir + ": malformed LSH bucket");
           return;
         }
-        first = false;
-        previous_key = key;
-        std::vector<uint32_t> docs;
-        docs.reserve(io::ClampCount(size, in.remaining(), 4));
-        for (uint32_t d = 0; d < size && in.ok(); ++d) {
-          const uint32_t doc = in.GetU32();
-          if (doc >= n || (!docs.empty() && docs.back() >= doc)) {
-            lsh_status[s] =
-                InvalidArgumentError(snap_dir + ": malformed LSH bucket");
-            return;
-          }
-          docs.push_back(doc);
-        }
-        map.emplace(key, std::move(docs));
+        saved.docs.push_back(doc);
       }
-      if (!in.AtEnd()) {
-        lsh_status[s] =
-            InvalidArgumentError(snap_dir + ": malformed LSH shard");
-        return;
-      }
-      state.cover.lsh_buckets[s] = std::move(map);
-    });
-    CEM_RETURN_IF_ERROR(FirstError(lsh_status));
-  }
+      saved.offsets.push_back(static_cast<uint32_t>(saved.docs.size()));
+    }
+    if (!in.AtEnd()) {
+      lsh_status[s] =
+          InvalidArgumentError(snap_dir + ": malformed LSH shard");
+      return;
+    }
+  });
+  CEM_RETURN_IF_ERROR(FirstError(lsh_status));
 
   return matcher.RestoreState(std::move(state));
 }

@@ -97,10 +97,6 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
   if (full_memberships != cover_memberships) {
     return InvalidArgumentError("full membership disagrees with the cover");
   }
-  if (!state.lsh_buckets.empty() &&
-      state.lsh_buckets.size() != index_.num_shards()) {
-    return InvalidArgumentError("LSH bucket shard-count mismatch");
-  }
 
   slots_ = std::move(state.slots);
   signatures_ = std::move(state.signatures);
@@ -111,10 +107,9 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
       return InvalidArgumentError("reference appears in two slots");
     }
   }
-  if (state.lsh_buckets.empty()) {
-    index_.AddDocuments(signatures_, ctx);
-  } else {
-    index_.RestoreSnapshot(std::move(state.lsh_buckets), signatures_, ctx);
+  index_.AddDocuments(signatures_, ctx);
+  if (!state.lsh_buckets.empty()) {
+    CEM_RETURN_IF_ERROR(index_.CheckSavedBuckets(state.lsh_buckets));
   }
   for (std::vector<data::EntityId>& members : state.neighborhoods) {
     cover_.Add(std::move(members));

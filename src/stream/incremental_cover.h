@@ -63,8 +63,8 @@ struct IngestStats {
 /// arrival order alone determines it, but replaying the arrival order is
 /// exactly the cost a snapshot exists to avoid). The LSH index is the one
 /// exception: its buckets are a pure function of the signatures in slot
-/// order, so `lsh_buckets` is an optional fast path (loaded per-shard
-/// files) and an empty vector means "rebuild from the signatures".
+/// order, so the restore rebuilds them, and `lsh_buckets` (the loaded
+/// per-shard files, possibly empty) only serves as a check on the rebuild.
 struct IncrementalCoverState {
   /// slot -> reference id, in arrival order.
   std::vector<data::EntityId> slots;
@@ -80,9 +80,9 @@ struct IncrementalCoverState {
   std::vector<core::MembershipEntry> full_entries;
   /// Ingest work counters as of the snapshot.
   IngestStats stats;
-  /// Per-shard LSH buckets (fast path; see above). Either empty or exactly
-  /// one map per shard of the restoring index.
-  std::vector<blocking::LshIndex::BucketMap> lsh_buckets;
+  /// Saved LSH buckets, one entry per snapshot shard file (any shard
+  /// count), or empty to skip the check (see above).
+  std::vector<blocking::LshIndex::SavedBuckets> lsh_buckets;
 };
 
 /// Incrementally maintained total cover over the *live* subset of a
@@ -206,11 +206,11 @@ class IncrementalCover {
 
   /// Restores a snapshot into a freshly constructed cover (num_live() must
   /// be 0) built over the same dataset and options. The LSH index is
-  /// installed from state.lsh_buckets when they match this cover's shard
-  /// count, else rebuilt from the signatures in parallel on `ctx` — either
-  /// way every subsequent Insert() behaves bit-identically to the original
-  /// uninterrupted run. Returns InvalidArgument (state untouched aside
-  /// from moves) when the image is structurally inconsistent.
+  /// rebuilt from the signatures in parallel on `ctx` and checked against
+  /// state.lsh_buckets, so every subsequent Insert() behaves bit-identically
+  /// to the original uninterrupted run. Returns InvalidArgument (state
+  /// untouched aside from moves) when the image is structurally
+  /// inconsistent.
   Status RestoreState(IncrementalCoverState state,
                       const ExecutionContext& ctx);
 

@@ -111,18 +111,17 @@ Status StreamingMatcher::RestoreState(StreamingMatcherState state) {
   return OkStatus();
 }
 
-size_t StreamingMatcher::PairsInside(uint32_t n) const {
+size_t StreamingMatcher::PairsInside(uint32_t n) {
   const data::Dataset& dataset = matcher_.dataset();
   const std::vector<data::EntityId>& entities =
       icover_.cover().neighborhood(n).entities;
+  members_.Reset(dataset.num_entities());
+  for (data::EntityId e : entities) members_.Insert(e);
   size_t inside = 0;
   for (data::EntityId e : entities) {
     for (data::PairId id : dataset.PairsOfEntity(e)) {
       const data::EntityPair& p = dataset.candidate_pair(id).pair;
-      if (p.a == e &&
-          std::binary_search(entities.begin(), entities.end(), p.b)) {
-        ++inside;
-      }
+      if (p.a == e && members_.Contains(p.b)) ++inside;
     }
   }
   return inside;

@@ -13,6 +13,7 @@
 #include "core/matcher.h"
 #include "data/dataset.h"
 #include "stream/incremental_cover.h"
+#include "util/epoch_set.h"
 #include "util/execution_context.h"
 
 namespace cem::stream {
@@ -205,7 +206,7 @@ class StreamingMatcher {
   void MaybePublishMetrics();
 
   /// Candidate pairs fully inside neighborhood `n` (re-scoring work).
-  size_t PairsInside(uint32_t n) const;
+  size_t PairsInside(uint32_t n);
 
   const core::Matcher& matcher_;
   StreamingOptions options_;
@@ -215,6 +216,8 @@ class StreamingMatcher {
   /// Persistent FIFO active set across Add() calls.
   std::deque<uint32_t> active_;
   std::vector<uint8_t> queued_;  // Grows with the cover.
+  /// Membership stamps of the neighborhood PairsInside() is counting.
+  EpochSet members_;
   /// num_live() at the last metrics publication (metrics_every_inserts).
   size_t metrics_published_at_ = 0;
   /// See drains_completed() / pending_hint().

@@ -1,9 +1,12 @@
 // Unit tests for the MinHash/LSH blocking subsystem: signature
 // determinism, Jaccard-estimate accuracy, collision-probability
-// monotonicity, and banding determinism.
+// monotonicity, banding determinism, and the chained bucket layout
+// against a map-of-vectors oracle.
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "blocking/lsh_index.h"
 #include "blocking/minhash.h"
 #include "util/execution_context.h"
+#include "util/random.h"
 
 namespace cem {
 namespace {
@@ -232,6 +236,190 @@ TEST(LshIndex, ParallelBulkAddMatchesSerialAdds) {
             << threads << " threads, " << shards << " shards, doc " << doc;
       }
     }
+  }
+}
+
+/// Random signatures whose components come from alphabets of very
+/// different sizes, so buckets range from singletons to hundreds of
+/// members and the bucket tables grow through several doublings.
+std::vector<std::vector<uint64_t>> RandomSignatures(uint32_t docs,
+                                                    uint32_t num_hashes,
+                                                    uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<uint64_t>> out(docs);
+  for (std::vector<uint64_t>& signature : out) {
+    const uint64_t alphabet = rng.NextBernoulli(0.3)
+                                  ? 2
+                                  : uint64_t{1} << (2 + rng.NextBounded(40));
+    for (uint32_t h = 0; h < num_hashes; ++h) {
+      signature.push_back(rng.NextBounded(alphabet));
+    }
+  }
+  return out;
+}
+
+/// Reference buckets: band key -> members in insertion order.
+using BucketOracle = std::map<uint64_t, std::vector<uint32_t>>;
+
+std::vector<uint32_t> OracleUnion(const BucketOracle& oracle,
+                                  const std::vector<uint64_t>& keys) {
+  std::vector<uint32_t> out;
+  for (uint64_t key : keys) {
+    const auto it = oracle.find(key);
+    if (it != oracle.end()) {
+      out.insert(out.end(), it->second.begin(), it->second.end());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// Every bucket of `index`, gathered through the snapshot writer's walk.
+BucketOracle WalkedBuckets(const LshIndex& index) {
+  BucketOracle walked;
+  for (size_t s = 0; s < index.num_shards(); ++s) {
+    uint64_t previous = 0;
+    bool first = true;
+    index.ForEachBucket(s, [&](uint64_t key, std::span<const uint32_t> docs) {
+      EXPECT_TRUE(first || key > previous) << "shard " << s << " unsorted";
+      EXPECT_EQ(key % index.num_shards(), s);
+      first = false;
+      previous = key;
+      walked[key].assign(docs.begin(), docs.end());
+    });
+  }
+  return walked;
+}
+
+/// The index's buckets as saved files for `num_files` shards.
+std::vector<LshIndex::SavedBuckets> SaveBuckets(const BucketOracle& buckets,
+                                                size_t num_files) {
+  std::vector<LshIndex::SavedBuckets> saved(num_files);
+  for (const auto& [key, docs] : buckets) {
+    LshIndex::SavedBuckets& file = saved[key % num_files];
+    file.keys.push_back(key);
+    file.docs.insert(file.docs.end(), docs.begin(), docs.end());
+    file.offsets.push_back(static_cast<uint32_t>(file.docs.size()));
+  }
+  return saved;
+}
+
+TEST(LshIndex, ChainedBucketsMatchMapOracle) {
+  const LshParams params{32, 2};
+  constexpr uint32_t kNumHashes = 64;
+  constexpr uint32_t kDocs = 700;
+  const std::vector<std::vector<uint64_t>> signatures =
+      RandomSignatures(kDocs, kNumHashes, 41);
+  const std::vector<std::vector<uint64_t>> probes =
+      RandomSignatures(60, kNumHashes, 42);
+
+  const LshIndex keyer(params, kNumHashes);
+  BucketOracle oracle;
+  for (uint32_t doc = 0; doc < kDocs; ++doc) {
+    for (uint64_t key : keyer.BandKeys(signatures[doc])) {
+      oracle[key].push_back(doc);
+    }
+  }
+  size_t oracle_pairs = 0;
+  size_t largest = 0;
+  for (const auto& [key, docs] : oracle) {
+    oracle_pairs += docs.size() * (docs.size() - 1) / 2;
+    largest = std::max(largest, docs.size());
+  }
+  ASSERT_GT(largest, 30u) << "the corpus must produce large buckets";
+  ASSERT_GT(oracle.size(), 4000u) << "and many buckets";
+
+  for (uint32_t shards : {1u, 4u, 32u}) {
+    LshIndex incremental(params, kNumHashes, shards);
+    for (uint32_t doc = 0; doc < kDocs; ++doc) {
+      incremental.AddDocument(doc, signatures[doc]);
+    }
+    ExecutionContext ctx(4, shards);
+    LshIndex bulk(params, kNumHashes, shards);
+    bulk.AddDocuments(signatures, ctx);
+
+    for (const LshIndex* index : {&incremental, &bulk}) {
+      const std::string label = std::to_string(shards) + " shards, " +
+                                (index == &bulk ? "bulk" : "incremental");
+      EXPECT_EQ(index->num_buckets(), oracle.size()) << label;
+      EXPECT_EQ(index->TotalBucketPairs(), oracle_pairs) << label;
+      EXPECT_EQ(WalkedBuckets(*index), oracle) << label;
+      for (uint32_t doc = 0; doc < kDocs; ++doc) {
+        std::vector<uint32_t> expected =
+            OracleUnion(oracle, keyer.BandKeys(signatures[doc]));
+        expected.erase(std::find(expected.begin(), expected.end(), doc));
+        ASSERT_EQ(index->Candidates(doc), expected) << label << ", doc " << doc;
+      }
+      for (const std::vector<uint64_t>& probe : probes) {
+        EXPECT_EQ(index->CandidatesOfSignature(probe),
+                  OracleUnion(oracle, keyer.BandKeys(probe)))
+            << label;
+      }
+      for (const std::vector<uint64_t>& signature : {signatures[0],
+                                                     signatures[kDocs / 2]}) {
+        EXPECT_EQ(index->CandidatesOfSignature(signature),
+                  OracleUnion(oracle, keyer.BandKeys(signature)))
+            << label;
+      }
+    }
+    // Bulk insertion links each shard's entries in serial order, so the
+    // two tables are the same size, slot for slot.
+    EXPECT_EQ(bulk.memory_bytes(), incremental.memory_bytes()) << shards;
+    // Per entry a band key and a link, per document a flag, and a 4-byte
+    // head slot per bucket at a load factor between 3/8 and 3/4.
+    const size_t flat = kDocs * params.bands * (sizeof(uint64_t) +
+                                                sizeof(uint32_t)) +
+                        kDocs;
+    EXPECT_GE(bulk.memory_bytes(), flat + oracle.size() * 4 * 4 / 3);
+    EXPECT_LE(bulk.memory_bytes(),
+              flat + (oracle.size() * 8 / 3 + 16 * shards) * 4);
+  }
+}
+
+TEST(LshIndex, SavedBucketsCheckAcrossShardCountsAndCatchTampering) {
+  const LshParams params{32, 2};
+  constexpr uint32_t kNumHashes = 64;
+  const std::vector<std::vector<uint64_t>> signatures =
+      RandomSignatures(300, kNumHashes, 7);
+  ExecutionContext ctx(2, 4);
+  LshIndex index(params, kNumHashes, 4);
+  index.AddDocuments(signatures, ctx);
+  const BucketOracle buckets = WalkedBuckets(index);
+  // Bucket contents do not depend on the shard count: files saved for any
+  // shard count check out.
+  for (size_t files : {1u, 3u, 4u, 32u}) {
+    EXPECT_TRUE(index.CheckSavedBuckets(SaveBuckets(buckets, files)).ok())
+        << files;
+  }
+
+  auto big = std::find_if(buckets.begin(), buckets.end(),
+                          [](const auto& b) { return b.second.size() > 2; });
+  ASSERT_NE(big, buckets.end());
+  {
+    BucketOracle tampered = buckets;  // A member dropped.
+    tampered[big->first].pop_back();
+    EXPECT_FALSE(index.CheckSavedBuckets(SaveBuckets(tampered, 4)).ok());
+  }
+  {
+    BucketOracle tampered = buckets;  // Members reordered.
+    std::swap(tampered[big->first][0], tampered[big->first][1]);
+    EXPECT_FALSE(index.CheckSavedBuckets(SaveBuckets(tampered, 4)).ok());
+  }
+  {
+    BucketOracle tampered = buckets;  // A bucket missing.
+    tampered.erase(big->first);
+    EXPECT_FALSE(index.CheckSavedBuckets(SaveBuckets(tampered, 4)).ok());
+  }
+  {
+    BucketOracle tampered = buckets;  // A bucket the signatures never made.
+    tampered[big->first + 1] = {0};
+    EXPECT_FALSE(index.CheckSavedBuckets(SaveBuckets(tampered, 4)).ok());
+  }
+  {
+    std::vector<LshIndex::SavedBuckets> saved = SaveBuckets(buckets, 4);
+    std::swap(saved[0], saved[1]);  // Buckets in the wrong shard file.
+    EXPECT_FALSE(index.CheckSavedBuckets(saved).ok());
   }
 }
 

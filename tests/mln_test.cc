@@ -1,5 +1,4 @@
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,8 +90,7 @@ class Figure1Inference : public ::testing::Test {
 
   MatchSet Solve(const std::vector<EntityId>& entities,
                  const MatchSet& positive = MatchSet()) {
-    std::unordered_set<EntityId> members(entities.begin(), entities.end());
-    return SolveNeighborhoodMap(*fig_.dataset, graph_, weights_, members,
+    return SolveNeighborhoodMap(*fig_.dataset, graph_, weights_, entities,
                                 positive, MatchSet());
   }
 
@@ -144,22 +142,19 @@ TEST_F(Figure1Inference, FullRunFindsAllFivePairs) {
 TEST_F(Figure1Inference, NegativeEvidenceBlocksMatch) {
   MatchSet negative;
   negative.Insert(EntityPair(fig_.c1, fig_.c2));
-  std::unordered_set<EntityId> members(fig_.neighborhoods[2].begin(),
-                                       fig_.neighborhoods[2].end());
   MatchSet out = SolveNeighborhoodMap(*fig_.dataset, graph_, weights_,
-                                      members, MatchSet(), negative);
+                                      fig_.neighborhoods[2], MatchSet(),
+                                      negative);
   EXPECT_TRUE(out.empty());
 }
 
 TEST_F(Figure1Inference, AgreesWithBruteForceOnFigure1) {
   for (const auto& neighborhood : fig_.neighborhoods) {
-    std::unordered_set<EntityId> members(neighborhood.begin(),
-                                         neighborhood.end());
-    EXPECT_EQ(SolveNeighborhoodMap(*fig_.dataset, graph_, weights_, members,
-                                   MatchSet(), MatchSet())
+    EXPECT_EQ(SolveNeighborhoodMap(*fig_.dataset, graph_, weights_,
+                                   neighborhood, MatchSet(), MatchSet())
                   .SortedPairs(),
-              BruteForceMap(*fig_.dataset, graph_, weights_, members,
-                            MatchSet(), MatchSet())
+              BruteForceMap(graph_, weights_, neighborhood, MatchSet(),
+                            MatchSet())
                   .SortedPairs());
   }
 }
@@ -222,10 +217,10 @@ TEST_P(MapSolverProperty, GraphCutEqualsBruteForce) {
   const PairGraph graph = PairGraph::Build(d);
 
   // Random entity subset (sometimes everything) and random evidence.
-  std::unordered_set<EntityId> members;
+  std::vector<EntityId> members;
   for (size_t e = 0; e < d.num_entities(); ++e) {
     if (instance.rng().NextBernoulli(0.8)) {
-      members.insert(static_cast<EntityId>(e));
+      members.push_back(static_cast<EntityId>(e));
     }
   }
   MatchSet positive, negative;
@@ -240,7 +235,7 @@ TEST_P(MapSolverProperty, GraphCutEqualsBruteForce) {
 
   const MatchSet cut = SolveNeighborhoodMap(d, graph, instance.weights(),
                                             members, positive, negative);
-  const MatchSet brute = BruteForceMap(d, graph, instance.weights(), members,
+  const MatchSet brute = BruteForceMap(graph, instance.weights(), members,
                                        positive, negative);
   EXPECT_EQ(cut.SortedPairs(), brute.SortedPairs()) << "seed " << GetParam();
 }

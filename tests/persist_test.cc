@@ -723,6 +723,36 @@ TEST(GoldenV1, ReSaveReproducesTheCommittedBytesExactly) {
   EXPECT_GE(files, 5u);
 }
 
+TEST(GoldenV1, LoadedFixtureReSavesItsOwnBytes) {
+  // The fixture predates the chained LSH bucket layout: loading it
+  // rebuilds the buckets from its signatures and checks them against its
+  // bucket files, and saving the loaded state walks the new chains. Both
+  // directions must agree byte for byte with the committed files.
+  const GoldenSetup setup;
+  if (std::getenv("CEM_WRITE_GOLDEN") != nullptr) {
+    GTEST_SKIP() << "fixture being (re)written by the load test";
+  }
+  const std::vector<persist::SnapshotRef> snapshots =
+      persist::ListSnapshots(GoldenDir());
+  ASSERT_EQ(snapshots.size(), 1u);
+  StreamingMatcher loaded(*setup.matcher, setup.options);
+  ASSERT_TRUE(persist::LoadSnapshot(snapshots[0].path, loaded).ok());
+  const std::string dir = ScratchDir("golden_loaded_resave");
+  ASSERT_TRUE(persist::SaveSnapshot(dir, loaded).ok());
+  const std::string resnap = persist::ListSnapshots(dir)[0].path;
+
+  size_t lsh_files = 0;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(snapshots[0].path)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("lsh_", 0) == 0) ++lsh_files;
+    EXPECT_EQ(ReadAll((fs::path(resnap) / name).string()),
+              ReadAll(entry.path().string()))
+        << name;
+  }
+  EXPECT_EQ(lsh_files, 4u);
+}
+
 TEST(GoldenV1, UnknownVersionAndBadMagicAreRejectedNotMisread) {
   const GoldenSetup setup;
   const std::vector<persist::SnapshotRef> snapshots =

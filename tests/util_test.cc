@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "util/arena.h"
+#include "util/epoch_set.h"
 #include "util/execution_context.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -267,6 +268,43 @@ TEST(UnionFindTest, IdempotentUnion) {
 }
 
 // ----------------------------------------------------------- ThreadPool --
+
+TEST(EpochSetTest, ResetEmptiesAndGrowsLazily) {
+  EpochSet set;
+  set.Reset(4);
+  EXPECT_EQ(set.universe(), 4u);
+  EXPECT_TRUE(set.Insert(3));
+  EXPECT_FALSE(set.Insert(3));
+  EXPECT_TRUE(set.Contains(3));
+  EXPECT_FALSE(set.Contains(0));
+  set.Reset(2);  // Never shrinks.
+  EXPECT_EQ(set.universe(), 4u);
+  EXPECT_FALSE(set.Contains(3));
+  set.Reset(10);
+  EXPECT_EQ(set.universe(), 10u);
+  for (uint32_t id = 0; id < 10; ++id) EXPECT_FALSE(set.Contains(id)) << id;
+  EXPECT_TRUE(set.Insert(9));
+  EXPECT_TRUE(set.Contains(9));
+}
+
+TEST(EpochSetTest, EpochWraparoundClearsStaleStamps) {
+  EpochSet set;
+  set.Reset(8);  // Epoch 2.
+  EXPECT_TRUE(set.Insert(5));
+  // Jump to the end of the epoch range: the next resets use the last
+  // epoch, then wrap. Without clearing, the wrapped counter would revisit
+  // epoch 2 and id 5 would read as a member again.
+  set.SetEpochForTesting(std::numeric_limits<uint32_t>::max() - 1);
+  set.Reset(8);  // Epoch UINT32_MAX.
+  EXPECT_FALSE(set.Contains(5));
+  EXPECT_TRUE(set.Insert(1));
+  set.Reset(8);  // Wraps: every stamp cleared, epoch 1.
+  for (uint32_t id = 0; id < 8; ++id) EXPECT_FALSE(set.Contains(id)) << id;
+  set.Reset(8);  // Epoch 2 again.
+  for (uint32_t id = 0; id < 8; ++id) EXPECT_FALSE(set.Contains(id)) << id;
+  EXPECT_TRUE(set.Insert(5));
+  EXPECT_TRUE(set.Contains(5));
+}
 
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
