@@ -5,6 +5,7 @@
 
 #include "core/maximal_message.h"
 #include "core/neighbor_index.h"
+#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -47,6 +48,20 @@ size_t DefaultEvaluationCap(const Cover& cover, size_t configured) {
   const size_t k = cover.MaxNeighborhoodSize();
   // Theoretical bound n * k^2 (Theorem 3), floored generously.
   return cover.size() * std::max<size_t>(k * k, 16) + 64;
+}
+
+/// Registry bump of one drain's totals, once, at its serial tail.
+void BumpMpCounters(const MpResult& r) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Counter& evaluations = registry.counter("core_mp_evaluations");
+  static obs::Counter& calls = registry.counter("core_mp_matcher_calls");
+  static obs::Counter& created = registry.counter("core_mp_messages_created");
+  static obs::Counter& promoted =
+      registry.counter("core_mp_messages_promoted");
+  evaluations.Add(r.neighborhood_evaluations);
+  calls.Add(r.matcher_calls);
+  created.Add(r.messages_created);
+  promoted.Add(r.messages_promoted);
 }
 
 void SeedActiveSet(ActiveSet& active, const Cover& cover,
@@ -148,6 +163,7 @@ MpResult RunMmpImpl(const ProbabilisticMatcher& matcher, const Cover& cover,
     }
   }
 
+  BumpMpCounters(result);
   result.seconds = timer.ElapsedSeconds();
   return result;
 }
@@ -193,6 +209,7 @@ MpResult RunSmp(const Matcher& matcher, const Cover& cover,
       if (affected != c) active.Push(affected);
     }
   }
+  BumpMpCounters(result);
   result.seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -134,6 +134,7 @@ void StreamingMatcher::Drain() {
       obs::MetricsRegistry::Global().histogram("stream_drain_us");
   CEM_TRACE_TIMED("stream/drain", &drain_hist);
   const size_t evaluations_before = matching_stats_.neighborhood_evaluations;
+  const size_t calls_before = matching_stats_.matcher_calls;
   const size_t rescored_before = matching_stats_.pairs_rescored;
   const core::Cover& cover = icover_.cover();
   // Safety cap, mirroring core::RunSmp: convergence is guaranteed for
@@ -195,6 +196,17 @@ void StreamingMatcher::Drain() {
   evals_counter.Add(matching_stats_.neighborhood_evaluations -
                     evaluations_before);
   rescored_counter.Add(matching_stats_.pairs_rescored - rescored_before);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Counter& mp_evaluations = registry.counter("core_mp_evaluations");
+  static obs::Counter& mp_calls = registry.counter("core_mp_matcher_calls");
+  static obs::Counter& mp_created = registry.counter("core_mp_messages_created");
+  static obs::Counter& mp_promoted =
+      registry.counter("core_mp_messages_promoted");
+  mp_evaluations.Add(matching_stats_.neighborhood_evaluations -
+                     evaluations_before);
+  mp_calls.Add(matching_stats_.matcher_calls - calls_before);
+  mp_created.Add(0);
+  mp_promoted.Add(0);
   // Release-published last: a watchdog observing the new value knows this
   // drain's state updates happened before it.
   drains_completed_.fetch_add(1, std::memory_order_release);
