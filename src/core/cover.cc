@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "obs/metrics.h"
@@ -141,11 +140,8 @@ CoverMembership::CoverMembership(const Cover& cover) {
 }
 
 bool CoverMembership::Together(data::EntityId a, data::EntityId b) const {
-  const auto it_a = entries_.find(a);
-  const auto it_b = entries_.find(b);
-  if (it_a == entries_.end() || it_b == entries_.end()) return false;
-  const std::vector<uint32_t>& ha = it_a->second.homes;
-  const std::vector<uint32_t>& hb = it_b->second.homes;
+  const std::vector<uint32_t>& ha = HomesOf(a);
+  const std::vector<uint32_t>& hb = HomesOf(b);
   // Linear merge over two sorted lists (the historical representation
   // scanned hb once per element of ha).
   size_t i = 0;
@@ -162,58 +158,61 @@ bool CoverMembership::Together(data::EntityId a, data::EntityId b) const {
 }
 
 uint32_t CoverMembership::FirstHome(data::EntityId e) const {
-  const auto it = entries_.find(e);
-  CEM_CHECK(it != entries_.end()) << "FirstHome of an uncovered entity";
-  return it->second.first_home;
-}
-
-const std::vector<uint32_t>& CoverMembership::HomesOf(data::EntityId e) const {
-  const auto it = entries_.find(e);
-  return it == entries_.end() ? kEmptyHomes : it->second.homes;
+  CEM_CHECK(Contains(e)) << "FirstHome of an uncovered entity";
+  return rows_[e].first_home;
 }
 
 bool CoverMembership::Add(data::EntityId e, uint32_t n) {
-  auto [it, inserted] = entries_.try_emplace(e);
-  Entry& entry = it->second;
-  if (inserted) entry.first_home = n;
-  const auto pos =
-      std::lower_bound(entry.homes.begin(), entry.homes.end(), n);
-  if (pos != entry.homes.end() && *pos == n) return false;
-  entry.homes.insert(pos, n);
+  if (e >= rows_.size()) rows_.resize(e + 1);
+  Row& row = rows_[e];
+  if (row.homes.empty()) {
+    row.first_home = n;
+    ++num_entities_;
+  }
+  // Fast path: building from a cover (and the streaming cover's newest
+  // neighborhood) records homes in ascending order.
+  if (row.homes.empty() || row.homes.back() < n) {
+    row.homes.push_back(n);
+    return true;
+  }
+  const auto pos = std::lower_bound(row.homes.begin(), row.homes.end(), n);
+  if (*pos == n) return false;
+  row.homes.insert(pos, n);
   return true;
 }
 
 std::vector<MembershipEntry> CoverMembership::SortedEntries() const {
   std::vector<MembershipEntry> out;
-  out.reserve(entries_.size());
-  for (const auto& [entity, entry] : entries_) {
-    out.push_back({entity, entry.first_home, entry.homes});
+  out.reserve(num_entities_);
+  for (data::EntityId e = 0; e < rows_.size(); ++e) {
+    if (!rows_[e].homes.empty()) {
+      out.push_back({e, rows_[e].first_home, rows_[e].homes});
+    }
   }
-  std::sort(out.begin(), out.end(),
-            [](const MembershipEntry& a, const MembershipEntry& b) {
-              return a.entity < b.entity;
-            });
   return out;
 }
 
 CoverMembership CoverMembership::FromEntries(
     std::vector<MembershipEntry> entries) {
   CoverMembership membership;
-  membership.entries_.reserve(entries.size());
-  for (MembershipEntry& e : entries) {
-    CEM_CHECK(std::is_sorted(e.homes.begin(), e.homes.end()) &&
+  if (!entries.empty()) membership.rows_.resize(entries.back().entity + 1);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    MembershipEntry& e = entries[i];
+    CEM_CHECK(i == 0 || entries[i - 1].entity < e.entity)
+        << "membership entries must be in strictly ascending entity order";
+    CEM_CHECK(!e.homes.empty() &&
+              std::is_sorted(e.homes.begin(), e.homes.end()) &&
               std::adjacent_find(e.homes.begin(), e.homes.end()) ==
                   e.homes.end())
-        << "membership homes must be sorted and unique";
+        << "membership homes must be non-empty, sorted and unique";
     CEM_CHECK(std::binary_search(e.homes.begin(), e.homes.end(),
                                  e.first_home))
         << "first_home must be one of the homes";
-    auto [it, inserted] = membership.entries_.try_emplace(e.entity);
-    CEM_CHECK(inserted) << "duplicate membership entry for entity "
-                        << e.entity;
-    it->second.first_home = e.first_home;
-    it->second.homes = std::move(e.homes);
+    Row& row = membership.rows_[e.entity];
+    row.first_home = e.first_home;
+    row.homes = std::move(e.homes);
   }
+  membership.num_entities_ = entries.size();
   return membership;
 }
 

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/dataset.h"
@@ -90,17 +89,21 @@ struct MembershipEntry {
                          const MembershipEntry&) = default;
 };
 
-/// Entity -> neighborhood membership of a cover (the patch passes' `homes`
-/// map), kept as sorted neighborhood-id vectors so the hot Together() probe
-/// is a linear merge instead of a nested linear scan. Also remembers each
-/// entity's *first* home — the repair target of PatchPairCoverage — which
-/// under the historical representation was the front of an append-only
-/// list, i.e. the lowest neighborhood index the entity was born with.
+/// Entity -> neighborhood membership of a cover: the one entity ->
+/// neighborhood index. Message passing reads it as the Neighbor(.)
+/// function of Algorithms 1 and 3 (which neighborhoods does a new match
+/// re-activate?), the patch passes as their `homes` map. Rows are sorted
+/// neighborhood-id vectors, so the hot Together() probe is a linear merge,
+/// stored densely by entity id. Also remembers each entity's *first*
+/// home — the repair target of PatchPairCoverage — which under the
+/// historical representation was the front of an append-only list, i.e.
+/// the lowest neighborhood index the entity was born with.
 ///
-/// Shared by the batch patch pass and the streaming layer's incremental
-/// cover maintenance: both mutate a Cover through AddEntityTo and mirror
-/// the change here. Read methods are safe to call concurrently as long as
-/// no Add() runs (the speculative patch scans rely on this).
+/// Shared by batch message passing, the batch patch pass and the
+/// streaming layer's incremental cover maintenance: the latter two mutate
+/// a Cover through AddEntityTo and mirror the change here. Read methods
+/// are safe to call concurrently as long as no Add() runs (the speculative
+/// patch scans and the grid's map phase rely on this).
 class CoverMembership {
  public:
   /// Empty membership (streaming: the cover grows from nothing).
@@ -111,7 +114,7 @@ class CoverMembership {
   explicit CoverMembership(const Cover& cover);
 
   /// True if `e` belongs to at least one neighborhood.
-  bool Contains(data::EntityId e) const { return entries_.count(e) > 0; }
+  bool Contains(data::EntityId e) const { return !HomesOf(e).empty(); }
 
   /// True if some neighborhood contains both `a` and `b`.
   bool Together(data::EntityId a, data::EntityId b) const;
@@ -121,28 +124,34 @@ class CoverMembership {
   uint32_t FirstHome(data::EntityId e) const;
 
   /// Sorted ids of the neighborhoods containing `e` (empty if none).
-  const std::vector<uint32_t>& HomesOf(data::EntityId e) const;
+  const std::vector<uint32_t>& HomesOf(data::EntityId e) const {
+    return e < rows_.size() ? rows_[e].homes : kEmptyHomes;
+  }
 
   /// Records `e` in neighborhood `n`; returns true if the pair was new.
+  /// The table grows to `e`: callers pass dataset entity ids only.
   bool Add(data::EntityId e, uint32_t n);
 
   /// Number of entities with at least one home.
-  size_t num_entities() const { return entries_.size(); }
+  size_t num_entities() const { return num_entities_; }
 
-  /// Every entity's row, sorted by entity id — the serializable view of
+  /// Every entity's row, in entity-id order — the serializable view of
   /// the whole membership (deterministic bytes for the snapshot format).
   std::vector<MembershipEntry> SortedEntries() const;
 
-  /// Rebuilds a membership from SortedEntries() output. Entries must name
-  /// each entity once with sorted unique homes containing first_home.
+  /// Rebuilds a membership from SortedEntries() output. Entries must be in
+  /// strictly ascending entity order with sorted unique homes containing
+  /// first_home; entity ids size the table, so callers restoring untrusted
+  /// bytes bound them by the dataset first.
   static CoverMembership FromEntries(std::vector<MembershipEntry> entries);
 
  private:
-  struct Entry {
+  struct Row {
     uint32_t first_home = 0;
-    std::vector<uint32_t> homes;  // Sorted, unique.
+    std::vector<uint32_t> homes;  // Sorted, unique; empty = no home.
   };
-  std::unordered_map<data::EntityId, Entry> entries_;
+  std::vector<Row> rows_;  // Indexed by entity id.
+  size_t num_entities_ = 0;
   static const std::vector<uint32_t> kEmptyHomes;
 };
 

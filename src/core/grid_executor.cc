@@ -4,8 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/maximal_message.h"
-#include "core/neighbor_index.h"
+#include "core/message_passing.h"
 #include "util/execution_context.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -14,8 +13,6 @@
 
 namespace cem::core {
 namespace {
-
-constexpr double kScoreEps = 1e-9;
 
 /// Output of one map task (one neighborhood run).
 struct MapOutput {
@@ -50,17 +47,16 @@ const char* MpSchemeName(MpScheme scheme) {
 
 GridResult RunGrid(const Matcher& matcher, const Cover& cover,
                    const GridOptions& options) {
-  const auto* probabilistic =
-      dynamic_cast<const ProbabilisticMatcher*>(&matcher);
-  if (options.scheme == MpScheme::kMmp) {
-    CEM_CHECK(probabilistic != nullptr)
-        << "MMP requires a Type-II (probabilistic) matcher";
-  }
-
   Timer wall;
   GridResult result;
   Rng rng(options.seed);
-  NeighborIndex index(cover);
+  const CoverMembership membership(cover);
+  // M+ and T live in the engine and change only in reduce steps; the map
+  // phase reads M+ concurrently.
+  MessagePassingEngine engine(matcher, cover, membership,
+                              options.scheme == MpScheme::kMmp
+                                  ? MessageMode::kMerged
+                                  : MessageMode::kNone);
   // 0 workers = the caller's context pool (one pool for the whole pipeline
   // instead of one per RunGrid call); an explicit count gets a dedicated
   // pool.
@@ -79,9 +75,6 @@ GridResult RunGrid(const Matcher& matcher, const Cover& cover,
   std::vector<uint32_t> active(cover.size());
   for (uint32_t i = 0; i < cover.size(); ++i) active[i] = i;
 
-  MatchSet matched;            // M+, updated only in reduce steps.
-  MaximalMessageSet messages;  // T (MMP only).
-
   while (!active.empty() && result.rounds < max_rounds) {
     ++result.rounds;
 
@@ -92,10 +85,11 @@ GridResult RunGrid(const Matcher& matcher, const Cover& cover,
       Timer task_timer;
       const std::vector<data::EntityId>& entities =
           cover.neighborhood(active[i]).entities;
-      outputs[i].matches = matcher.Match(entities, matched);
+      outputs[i].matches = matcher.Match(entities, engine.matches());
       if (options.scheme == MpScheme::kMmp) {
-        outputs[i].messages =
-            ComputeMaximal(matcher, entities, matched, outputs[i].matches);
+        outputs[i].messages = ComputeMaximal(matcher, entities,
+                                             engine.matches(),
+                                             outputs[i].matches);
       }
       outputs[i].seconds = task_timer.ElapsedSeconds();
     });
@@ -110,52 +104,20 @@ GridResult RunGrid(const Matcher& matcher, const Cover& cover,
         SimulatedMakespan(task_seconds, options.num_machines, rng) +
         options.per_round_overhead_seconds;
 
-    if (options.scheme == MpScheme::kNoMp) {
-      // NO-MP: one round, plain union, no re-activation.
-      for (const MapOutput& out : outputs) matched.InsertAll(out.matches);
-      break;
-    }
-
     // ---- Reduce: merge evidence, promote messages, compute next round.
     std::vector<data::EntityPair> new_matches;
     for (const MapOutput& out : outputs) {
-      for (const data::EntityPair& p : out.matches.Difference(matched)) {
-        new_matches.push_back(p);
-      }
-      matched.InsertAll(out.matches);
+      const std::vector<data::EntityPair> added =
+          engine.Absorb(out.matches, out.messages);
+      new_matches.insert(new_matches.end(), added.begin(), added.end());
     }
-    if (options.scheme == MpScheme::kMmp) {
-      for (const MapOutput& out : outputs) {
-        for (const MaximalMessage& m : out.messages) messages.Insert(m);
-      }
-      bool promoted = true;
-      while (promoted) {
-        promoted = false;
-        for (uint32_t id : messages.FindIntersecting(matched)) {
-          for (const data::EntityPair& p : messages.Message(id)) {
-            if (matched.Insert(p)) new_matches.push_back(p);
-          }
-          messages.RemoveMessage(id);
-          promoted = true;
-        }
-        for (uint32_t id : messages.LiveIds()) {
-          const double delta =
-              probabilistic->ScoreDelta(matched, messages.Message(id));
-          if (delta >= -kScoreEps) {
-            for (const data::EntityPair& p : messages.Message(id)) {
-              if (matched.Insert(p)) new_matches.push_back(p);
-            }
-            messages.RemoveMessage(id);
-            promoted = true;
-          }
-        }
-      }
-    }
-
-    active = index.AffectedBy(new_matches);
+    // NO-MP: one round, plain union, no re-activation.
+    if (options.scheme == MpScheme::kNoMp) break;
+    engine.Promote(new_matches);
+    active = AffectedNeighborhoods(membership, new_matches);
   }
 
-  result.matches = std::move(matched);
+  result.matches = engine.TakeMatches();
   result.wall_seconds = wall.ElapsedSeconds();
   return result;
 }

@@ -1,10 +1,7 @@
 #include "core/message_passing.h"
 
-#include <deque>
-#include <unordered_set>
+#include <algorithm>
 
-#include "core/maximal_message.h"
-#include "core/neighbor_index.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -16,159 +13,179 @@ namespace {
 // score deltas caused by floating-point noise still count as non-decreasing.
 constexpr double kScoreEps = 1e-9;
 
-/// FIFO active set with set semantics (a neighborhood queued twice runs
-/// once): Algorithm 1/3's A.
-class ActiveSet {
- public:
-  explicit ActiveSet(size_t n) : queued_(n, false) {}
-
-  void Push(uint32_t id) {
-    if (!queued_[id]) {
-      queued_[id] = true;
-      queue_.push_back(id);
-    }
-  }
-
-  bool empty() const { return queue_.empty(); }
-
-  uint32_t Pop() {
-    const uint32_t id = queue_.front();
-    queue_.pop_front();
-    queued_[id] = false;
-    return id;
-  }
-
- private:
-  std::deque<uint32_t> queue_;
-  std::vector<bool> queued_;
-};
-
-size_t DefaultEvaluationCap(const Cover& cover, size_t configured) {
-  if (configured > 0) return configured;
-  const size_t k = cover.MaxNeighborhoodSize();
-  // Theoretical bound n * k^2 (Theorem 3), floored generously.
-  return cover.size() * std::max<size_t>(k * k, 16) + 64;
-}
-
 /// Registry bump of one drain's totals, once, at its serial tail.
-void BumpMpCounters(const MpResult& r) {
+void BumpMpCounters(const MpWork& work) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& evaluations = registry.counter("core_mp_evaluations");
   static obs::Counter& calls = registry.counter("core_mp_matcher_calls");
   static obs::Counter& created = registry.counter("core_mp_messages_created");
   static obs::Counter& promoted =
       registry.counter("core_mp_messages_promoted");
-  evaluations.Add(r.neighborhood_evaluations);
-  calls.Add(r.matcher_calls);
-  created.Add(r.messages_created);
-  promoted.Add(r.messages_promoted);
+  evaluations.Add(work.neighborhood_evaluations);
+  calls.Add(work.matcher_calls);
+  created.Add(work.messages_created);
+  promoted.Add(work.messages_promoted);
 }
 
-void SeedActiveSet(ActiveSet& active, const Cover& cover,
-                   const MpOptions& options) {
-  for (uint32_t id : options.initial_order) {
-    if (id < cover.size()) active.Push(id);
-  }
-  for (uint32_t id = 0; id < cover.size(); ++id) active.Push(id);
-}
-
-MpResult RunMmpImpl(const ProbabilisticMatcher& matcher, const Cover& cover,
-                    const MpOptions& options, bool merge_messages) {
+/// A sequential driver: every neighborhood active (options.initial_order
+/// first), drained once.
+MpResult RunSequential(const Matcher& matcher, const Cover& cover,
+                       const MpOptions& options, MessageMode mode) {
   Timer timer;
-  MpResult result;
-  NeighborIndex index(cover);
-  ActiveSet active(cover.size());
-  SeedActiveSet(active, cover, options);
-  const size_t cap = DefaultEvaluationCap(cover, options.max_evaluations);
-
-  MatchSet& matched = result.matches;  // M+
-  MaximalMessageSet messages;          // T
-
-  while (!active.empty()) {
-    if (result.neighborhood_evaluations >= cap) {
-      CEM_LOG(Warning) << "MMP evaluation cap reached (" << cap
-                       << "); matcher may not be well-behaved";
-      break;
-    }
-    const uint32_t c = active.Pop();
-    ++result.neighborhood_evaluations;
-    const std::vector<data::EntityId>& entities =
-        cover.neighborhood(c).entities;
-
-    // Step 5: direct matches and maximal messages of this neighborhood.
-    // Matcher calls: the base Match plus one MatchConditioned per
-    // hypothesis ComputeMaximal tests.
-    const MatchSet mc = matcher.Match(entities, matched);
-    size_t conditioned_runs = 0;
-    const std::vector<MaximalMessage> tc =
-        ComputeMaximal(matcher, entities, matched, mc, &conditioned_runs);
-    result.matcher_calls += 1 + conditioned_runs;
-    result.messages_created += tc.size();
-
-    // Step 6: M+ ∪= MC ; T = (T ∪ TC)*.
-    std::vector<data::EntityPair> new_matches = mc.Difference(matched);
-    matched.InsertAll(mc);
-    if (merge_messages) {
-      for (const MaximalMessage& m : tc) messages.Insert(m);
-    } else {
-      for (const MaximalMessage& m : tc) {
-        // Ablation: no merge — insert each message as its own island by
-        // testing it immediately and dropping it afterwards.
-        const double delta = matcher.ScoreDelta(matched, m);
-        if (delta >= -kScoreEps) {
-          for (const data::EntityPair& p : m) {
-            if (matched.Insert(p)) new_matches.push_back(p);
-          }
-          ++result.messages_promoted;
-        }
-      }
-    }
-
-    // Step 7: promote sound messages until fixpoint. Two triggers:
-    //  (a) a message intersecting M+ is entirely sound (Definition 8 +
-    //      soundness of M+);
-    //  (b) the probabilistic test P_E(M+ ∪ M) >= P_E(M+).
-    if (merge_messages) {
-      bool promoted = true;
-      while (promoted) {
-        promoted = false;
-        for (uint32_t id : messages.FindIntersecting(matched)) {
-          for (const data::EntityPair& p : messages.Message(id)) {
-            if (matched.Insert(p)) new_matches.push_back(p);
-          }
-          messages.RemoveMessage(id);
-          ++result.messages_promoted;
-          promoted = true;
-        }
-        for (uint32_t id : messages.LiveIds()) {
-          const MaximalMessage& m = messages.Message(id);
-          const double delta = matcher.ScoreDelta(matched, m);
-          if (delta >= -kScoreEps) {
-            for (const data::EntityPair& p : m) {
-              if (matched.Insert(p)) new_matches.push_back(p);
-            }
-            messages.RemoveMessage(id);
-            ++result.messages_promoted;
-            promoted = true;
-          }
-        }
-      }
-    }
-
-    // Step 8: re-activate the neighborhoods affected by anything new.
-    // The just-run neighborhood is skipped: by idempotence it cannot add
-    // anything to its own output.
-    for (uint32_t affected : index.AffectedBy(new_matches)) {
-      if (affected != c) active.Push(affected);
-    }
+  const CoverMembership membership(cover);
+  MessagePassingEngine engine(matcher, cover, membership, mode);
+  for (uint32_t id : options.initial_order) {
+    if (id < cover.size()) engine.Activate(id);
   }
-
-  BumpMpCounters(result);
+  for (uint32_t id = 0; id < cover.size(); ++id) engine.Activate(id);
+  MpResult result;
+  MpWork& work = result;
+  work = engine.Drain(options.max_evaluations);
+  result.matches = engine.TakeMatches();
   result.seconds = timer.ElapsedSeconds();
   return result;
 }
 
 }  // namespace
+
+std::vector<uint32_t> AffectedNeighborhoods(
+    const CoverMembership& membership,
+    const std::vector<data::EntityPair>& new_matches, uint32_t skip) {
+  std::vector<uint32_t> out;
+  for (const data::EntityPair& p : new_matches) {
+    const std::vector<uint32_t>& in_a = membership.HomesOf(p.a);
+    const std::vector<uint32_t>& in_b = membership.HomesOf(p.b);
+    std::set_intersection(in_a.begin(), in_a.end(), in_b.begin(), in_b.end(),
+                          std::back_inserter(out));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  const auto it = std::lower_bound(out.begin(), out.end(), skip);
+  if (it != out.end() && *it == skip) out.erase(it);
+  return out;
+}
+
+MessagePassingEngine::MessagePassingEngine(const Matcher& matcher,
+                                           const Cover& cover,
+                                           const CoverMembership& membership,
+                                           MessageMode mode)
+    : matcher_(matcher),
+      probabilistic_(dynamic_cast<const ProbabilisticMatcher*>(&matcher)),
+      cover_(cover),
+      membership_(membership),
+      mode_(mode),
+      queued_(cover.size(), 0) {
+  CEM_CHECK(mode == MessageMode::kNone || probabilistic_ != nullptr)
+      << "maximal messages require a Type-II (probabilistic) matcher";
+}
+
+void MessagePassingEngine::Activate(uint32_t id) {
+  if (id >= queued_.size()) queued_.resize(id + 1, 0);
+  if (queued_[id]) return;
+  queued_[id] = 1;
+  queue_.push_back(id);
+}
+
+MpWork MessagePassingEngine::Drain(
+    size_t max_evaluations, const std::function<void(uint32_t)>& on_evaluate) {
+  size_t cap = max_evaluations;
+  if (cap == 0) {
+    const size_t k = cover_.MaxNeighborhoodSize();
+    cap = cover_.size() * std::max<size_t>(k * k, 16) + 64;
+  }
+  MpWork work;
+  const size_t promoted_before = messages_promoted_;
+  while (!queue_.empty()) {
+    if (work.neighborhood_evaluations >= cap) {
+      CEM_LOG(Warning) << "message-passing evaluation cap reached (" << cap
+                       << "); matcher may not be well-behaved";
+      for (uint32_t id : queue_) queued_[id] = 0;
+      queue_.clear();
+      break;
+    }
+    const uint32_t c = queue_.front();
+    queue_.pop_front();
+    queued_[c] = 0;
+    ++work.neighborhood_evaluations;
+    if (on_evaluate) on_evaluate(c);
+    const std::vector<data::EntityId>& entities =
+        cover_.neighborhood(c).entities;
+
+    // Step 5: direct matches and, for MMP, maximal messages. Matcher
+    // calls: the base Match plus one MatchConditioned per hypothesis
+    // ComputeMaximal tests.
+    const MatchSet mc = matcher_.Match(entities, matched_);
+    std::vector<MaximalMessage> tc;
+    size_t conditioned_runs = 0;
+    if (mode_ != MessageMode::kNone) {
+      tc = ComputeMaximal(matcher_, entities, matched_, mc, &conditioned_runs);
+    }
+    work.matcher_calls += 1 + conditioned_runs;
+    work.messages_created += tc.size();
+
+    std::vector<data::EntityPair> new_matches = Absorb(mc, tc);  // Step 6.
+    Promote(new_matches);                                        // Step 7.
+    // Step 8: re-activate the neighborhoods affected by anything new.
+    for (uint32_t affected :
+         AffectedNeighborhoods(membership_, new_matches, c)) {
+      Activate(affected);
+    }
+  }
+  work.messages_promoted = messages_promoted_ - promoted_before;
+  BumpMpCounters(work);
+  return work;
+}
+
+std::vector<data::EntityPair> MessagePassingEngine::Absorb(
+    const MatchSet& mc, const std::vector<MaximalMessage>& tc) {
+  std::vector<data::EntityPair> new_matches = mc.Difference(matched_);
+  if (!new_matches.empty()) matched_.InsertAll(mc);
+  for (const MaximalMessage& m : tc) {
+    if (mode_ == MessageMode::kMerged) {
+      messages_.Insert(m);
+    } else if (probabilistic_->ScoreDelta(matched_, m) >= -kScoreEps) {
+      // Ablation: no merge — each message is its own island, tested
+      // immediately and dropped afterwards.
+      for (const data::EntityPair& p : m) {
+        if (matched_.Insert(p)) new_matches.push_back(p);
+      }
+      ++messages_promoted_;
+    }
+  }
+  return new_matches;
+}
+
+void MessagePassingEngine::Promote(
+    std::vector<data::EntityPair>& new_matches) {
+  // Two triggers, until fixpoint:
+  //  (a) a message intersecting M+ is entirely sound (Definition 8 +
+  //      soundness of M+);
+  //  (b) the probabilistic test P_E(M+ ∪ M) >= P_E(M+).
+  bool promoted = messages_.num_live() > 0;
+  while (promoted) {
+    promoted = false;
+    for (uint32_t id : messages_.FindIntersecting(matched_)) {
+      PromoteMessage(id, new_matches);
+      promoted = true;
+    }
+    for (uint32_t id : messages_.LiveIds()) {
+      if (probabilistic_->ScoreDelta(matched_, messages_.Message(id)) >=
+          -kScoreEps) {
+        PromoteMessage(id, new_matches);
+        promoted = true;
+      }
+    }
+  }
+}
+
+void MessagePassingEngine::PromoteMessage(
+    uint32_t id, std::vector<data::EntityPair>& new_matches) {
+  for (const data::EntityPair& p : messages_.Message(id)) {
+    if (matched_.Insert(p)) new_matches.push_back(p);
+  }
+  messages_.RemoveMessage(id);
+  ++messages_promoted_;
+}
 
 MpResult RunNoMp(const Matcher& matcher, const Cover& cover) {
   Timer timer;
@@ -184,44 +201,17 @@ MpResult RunNoMp(const Matcher& matcher, const Cover& cover) {
 
 MpResult RunSmp(const Matcher& matcher, const Cover& cover,
                 const MpOptions& options) {
-  Timer timer;
-  MpResult result;
-  NeighborIndex index(cover);
-  ActiveSet active(cover.size());
-  SeedActiveSet(active, cover, options);
-  const size_t cap = DefaultEvaluationCap(cover, options.max_evaluations);
-
-  MatchSet& matched = result.matches;  // M+
-  while (!active.empty()) {
-    if (result.neighborhood_evaluations >= cap) {
-      CEM_LOG(Warning) << "SMP evaluation cap reached (" << cap
-                       << "); matcher may not be well-behaved";
-      break;
-    }
-    const uint32_t c = active.Pop();
-    ++result.neighborhood_evaluations;
-    ++result.matcher_calls;
-    const MatchSet mc = matcher.Match(cover.neighborhood(c).entities, matched);
-    const std::vector<data::EntityPair> new_matches = mc.Difference(matched);
-    if (new_matches.empty()) continue;
-    matched.InsertAll(mc);
-    for (uint32_t affected : index.AffectedBy(new_matches)) {
-      if (affected != c) active.Push(affected);
-    }
-  }
-  BumpMpCounters(result);
-  result.seconds = timer.ElapsedSeconds();
-  return result;
+  return RunSequential(matcher, cover, options, MessageMode::kNone);
 }
 
 MpResult RunMmp(const ProbabilisticMatcher& matcher, const Cover& cover,
                 const MpOptions& options) {
-  return RunMmpImpl(matcher, cover, options, /*merge_messages=*/true);
+  return RunSequential(matcher, cover, options, MessageMode::kMerged);
 }
 
 MpResult RunMmpWithoutMerge(const ProbabilisticMatcher& matcher,
                             const Cover& cover, const MpOptions& options) {
-  return RunMmpImpl(matcher, cover, options, /*merge_messages=*/false);
+  return RunSequential(matcher, cover, options, MessageMode::kIsolated);
 }
 
 }  // namespace cem::core

@@ -70,19 +70,8 @@ Status GetMembershipEntries(io::Cursor& in, const std::string& what,
     for (uint32_t h = 0; h < homes && in.ok(); ++h) {
       e.homes.push_back(in.GetU32());
     }
-    // Validate here, not in CoverMembership::FromEntries: its CEM_CHECKs
-    // guard programmer errors and abort, while a decoder must turn any
-    // structural damage into a skippable status.
-    if (!in.ok()) break;
-    if (e.homes.empty() ||
-        !std::is_sorted(e.homes.begin(), e.homes.end()) ||
-        std::adjacent_find(e.homes.begin(), e.homes.end()) != e.homes.end() ||
-        !std::binary_search(e.homes.begin(), e.homes.end(), e.first_home)) {
-      return InvalidArgumentError(what + ": malformed membership entry");
-    }
-    if (!out->empty() && out->back().entity >= e.entity) {
-      return InvalidArgumentError(what + ": membership entries out of order");
-    }
+    // Structure (order, ranges, mirroring the cover) is checked once, by
+    // IncrementalCover::RestoreState, for decoded and hand-built images.
     out->push_back(std::move(e));
   }
   if (!in.ok()) return InvalidArgumentError(what + ": truncated memberships");
@@ -424,12 +413,6 @@ Status LoadSnapshot(const std::string& snap_dir,
       members.reserve(io::ClampCount(size, in.remaining(), 4));
       for (uint32_t m = 0; m < size && in.ok(); ++m) {
         members.push_back(in.GetU32());
-      }
-      if (!std::is_sorted(members.begin(), members.end()) ||
-          std::adjacent_find(members.begin(), members.end()) !=
-              members.end()) {
-        return InvalidArgumentError(snap_dir +
-                                    ": neighborhood members not sorted");
       }
       state.cover.neighborhoods.push_back(std::move(members));
     }

@@ -1,12 +1,44 @@
 #include "stream/incremental_cover.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "blocking/minhash_simd.h"
 #include "util/logging.h"
 
 namespace cem::stream {
+namespace {
+
+/// True if `v` is strictly ascending (sorted and duplicate-free).
+template <typename T>
+bool StrictlyAscending(const std::vector<T>& v) {
+  return std::adjacent_find(v.begin(), v.end(), std::greater_equal<T>()) ==
+         v.end();
+}
+
+/// Structural check of one restored membership image: rows strictly
+/// ascending by entity, entities inside the dataset, homes non-empty,
+/// strictly ascending, inside the cover and holding first_home.
+Status CheckMembershipRows(const std::vector<core::MembershipEntry>& rows,
+                           size_t num_entities, size_t num_neighborhoods) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const core::MembershipEntry& e = rows[i];
+    if (e.entity >= num_entities ||
+        (i > 0 && rows[i - 1].entity >= e.entity)) {
+      return InvalidArgumentError(
+          "membership rows must name ascending dataset entities");
+    }
+    if (e.homes.empty() || !StrictlyAscending(e.homes) ||
+        e.homes.back() >= num_neighborhoods ||
+        !std::binary_search(e.homes.begin(), e.homes.end(), e.first_home)) {
+      return InvalidArgumentError("malformed membership row");
+    }
+  }
+  return OkStatus();
+}
+
+}  // namespace
 
 IncrementalCover::IncrementalCover(const data::Dataset& dataset,
                                    const IncrementalCoverOptions& options,
@@ -41,8 +73,6 @@ void IncrementalCover::AddMember(uint32_t n, data::EntityId e, bool core,
   const bool newly_core = core && core_.Add(e, n);
   if (full_.Add(e, n)) {
     cover_.AddEntityTo(n, e);
-    max_neighborhood_size_ = std::max(max_neighborhood_size_,
-                                      cover_.neighborhood(n).entities.size());
     dirty.push_back(n);
     ++stats_.memberships_added;
     if (!core) ++stats_.boundary_additions;
@@ -86,16 +116,48 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
       return InvalidArgumentError("seed neighborhood out of range");
     }
   }
+  const size_t num_entities = dataset_.num_entities();
+  const size_t num_neighborhoods = state.neighborhoods.size();
   size_t cover_memberships = 0;
   for (const std::vector<data::EntityId>& members : state.neighborhoods) {
+    if (!StrictlyAscending(members) ||
+        (!members.empty() && members.back() >= num_entities)) {
+      return InvalidArgumentError(
+          "neighborhood members must be ascending dataset entities");
+    }
     cover_memberships += members.size();
   }
+  CEM_RETURN_IF_ERROR(CheckMembershipRows(state.core_entries, num_entities,
+                                          num_neighborhoods));
+  CEM_RETURN_IF_ERROR(CheckMembershipRows(state.full_entries, num_entities,
+                                          num_neighborhoods));
+  // The full membership mirrors the cover: each (entity, home) row names a
+  // member of that neighborhood, and there are as many as memberships.
   size_t full_memberships = 0;
   for (const core::MembershipEntry& e : state.full_entries) {
+    for (uint32_t home : e.homes) {
+      const std::vector<data::EntityId>& members = state.neighborhoods[home];
+      if (!std::binary_search(members.begin(), members.end(), e.entity)) {
+        return InvalidArgumentError(
+            "full membership names a non-member of its neighborhood");
+      }
+    }
     full_memberships += e.homes.size();
   }
   if (full_memberships != cover_memberships) {
     return InvalidArgumentError("full membership disagrees with the cover");
+  }
+  // Core homes are full homes (both row lists ascend by entity).
+  auto full = state.full_entries.begin();
+  for (const core::MembershipEntry& e : state.core_entries) {
+    while (full != state.full_entries.end() && full->entity < e.entity) {
+      ++full;
+    }
+    if (full == state.full_entries.end() || full->entity != e.entity ||
+        !std::includes(full->homes.begin(), full->homes.end(),
+                       e.homes.begin(), e.homes.end())) {
+      return InvalidArgumentError("core home outside the full membership");
+    }
   }
 
   slots_ = std::move(state.slots);
@@ -116,7 +178,6 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
   }
   core_ = core::CoverMembership::FromEntries(std::move(state.core_entries));
   full_ = core::CoverMembership::FromEntries(std::move(state.full_entries));
-  max_neighborhood_size_ = cover_.MaxNeighborhoodSize();
   stats_ = state.stats;
   return OkStatus();
 }

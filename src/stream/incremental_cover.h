@@ -140,13 +140,9 @@ class IncrementalCover {
   /// ever grow, none is ever removed.
   const core::Cover& cover() const { return cover_; }
 
-  /// Largest neighborhood size (the paper's k), maintained O(1) so the
-  /// per-insert drain never rescans the whole cover for its safety cap.
-  size_t max_neighborhood_size() const { return max_neighborhood_size_; }
-
   /// Sorted ids of the neighborhoods containing `e` (boundary members
-  /// included) — the streaming counterpart of core::NeighborIndex, used by
-  /// the matcher to re-activate neighborhoods affected by a new match.
+  /// included): full_membership()'s row, the index the matcher's
+  /// Neighbor(.) rule re-activates neighborhoods through.
   const std::vector<uint32_t>& HomesOf(data::EntityId e) const {
     return full_.HomesOf(e);
   }
@@ -210,7 +206,9 @@ class IncrementalCover {
   /// state.lsh_buckets, so every subsequent Insert() behaves bit-identically
   /// to the original uninterrupted run. Returns InvalidArgument (state
   /// untouched aside from moves) when the image is structurally
-  /// inconsistent.
+  /// inconsistent: ids out of range for the dataset or the cover, a full
+  /// membership that does not mirror the neighborhoods, or a core home
+  /// that is not a full home.
   Status RestoreState(IncrementalCoverState state,
                       const ExecutionContext& ctx);
 
@@ -239,7 +237,6 @@ class IncrementalCover {
   std::vector<std::vector<uint64_t>> signatures_;
   /// slot -> id of the neighborhood it seeds, or kNoSeed.
   std::vector<uint32_t> seed_neighborhood_;
-  size_t max_neighborhood_size_ = 0;
   IngestStats stats_;
 };
 

@@ -28,18 +28,13 @@ StreamingMatcher::StreamingMatcher(const core::Matcher& matcher,
                                    const StreamingOptions& options)
     : matcher_(matcher),
       options_(options),
-      icover_(matcher.dataset(), options.cover, Resolve(options)) {}
-
-void StreamingMatcher::Activate(uint32_t n) {
-  if (n >= queued_.size()) queued_.resize(n + 1, 0);
-  if (queued_[n]) return;
-  queued_[n] = 1;
-  active_.push_back(n);
-}
+      icover_(matcher.dataset(), options.cover, Resolve(options)),
+      engine_(matcher, icover_.cover(), icover_.full_membership(),
+              core::MessageMode::kNone) {}
 
 void StreamingMatcher::Add(data::EntityId ref) {
   const std::vector<uint32_t> dirty = icover_.Insert(ref);
-  for (uint32_t n : dirty) Activate(n);
+  for (uint32_t n : dirty) engine_.Activate(n);
   RecordInsert(dirty.size());
   Drain();
   MaybePublishMetrics();
@@ -58,7 +53,7 @@ void StreamingMatcher::AddBatch(const std::vector<data::EntityId>& refs) {
   for (size_t i = 0; i < refs.size(); ++i) {
     const std::vector<uint32_t> dirty =
         icover_.Insert(refs[i], std::move(signatures[i]));
-    for (uint32_t n : dirty) Activate(n);
+    for (uint32_t n : dirty) engine_.Activate(n);
     RecordInsert(dirty.size());
   }
   Drain();
@@ -86,28 +81,31 @@ void StreamingMatcher::MaybePublishMetrics() {
   registry.gauge("stream_live_refs").Set(static_cast<double>(num_live()));
   registry.gauge("stream_neighborhoods")
       .Set(static_cast<double>(icover_.cover().size()));
-  registry.gauge("stream_matches").Set(static_cast<double>(matches_.size()));
+  registry.gauge("stream_matches").Set(static_cast<double>(matches().size()));
   registry.gauge("stream_max_neighborhood")
-      .Set(static_cast<double>(icover_.max_neighborhood_size()));
+      .Set(static_cast<double>(cover().MaxNeighborhoodSize()));
   if (options_.metrics_hook) options_.metrics_hook(*this);
 }
 
 Status StreamingMatcher::RestoreState(StreamingMatcherState state) {
-  if (num_live() != 0 || !matches_.empty() || !active_.empty() ||
+  if (num_live() != 0 || !matches().empty() || !quiescent() ||
       matching_stats_.matcher_calls != 0) {
     return FailedPreconditionError(
         "RestoreState needs a freshly constructed StreamingMatcher");
   }
   CEM_RETURN_IF_ERROR(
       icover_.RestoreState(std::move(state.cover), Resolve(options_)));
+  core::MatchSet restored;
   for (uint64_t key : state.match_keys) {
     const data::EntityPair pair = data::PairFromKey(key);
-    if (pair.a >= pair.b || !matches_.Insert(pair)) {
-      return InvalidArgumentError("match keys must be normalised and unique");
+    if (pair.a >= pair.b || pair.b >= dataset().num_entities() ||
+        !restored.Insert(pair)) {
+      return InvalidArgumentError(
+          "match keys must be normalised, unique dataset pairs");
     }
   }
+  engine_.Absorb(restored, {});
   matching_stats_ = state.matching;
-  queued_.assign(icover_.cover().size(), 0);
   return OkStatus();
 }
 
@@ -133,80 +131,21 @@ void StreamingMatcher::Drain() {
   static obs::Histogram& drain_hist =
       obs::MetricsRegistry::Global().histogram("stream_drain_us");
   CEM_TRACE_TIMED("stream/drain", &drain_hist);
-  const size_t evaluations_before = matching_stats_.neighborhood_evaluations;
-  const size_t calls_before = matching_stats_.matcher_calls;
-  const size_t rescored_before = matching_stats_.pairs_rescored;
-  const core::Cover& cover = icover_.cover();
-  // Safety cap, mirroring core::RunSmp: convergence is guaranteed for
-  // well-behaved matchers; the cap only guards buggy custom matchers.
-  // The incrementally maintained k keeps this O(1) per drain.
-  size_t cap = options_.max_evaluations;
-  if (cap == 0) {
-    const size_t k = icover_.max_neighborhood_size();
-    cap = cover.size() * std::max<size_t>(k * k, 16) + 64;
-  }
-  size_t evaluations = 0;
-  while (!active_.empty()) {
-    if (evaluations >= cap) {
-      CEM_LOG(Warning) << "streaming drain cap reached (" << cap
-                       << "); matcher may not be well-behaved";
-      break;
-    }
-    const uint32_t c = active_.front();
-    active_.pop_front();
-    queued_[c] = 0;
-    ++evaluations;
-    ++matching_stats_.neighborhood_evaluations;
-    ++matching_stats_.matcher_calls;
-    matching_stats_.pairs_rescored += PairsInside(c);
-    const core::MatchSet mc =
-        matcher_.Match(cover.neighborhood(c).entities, matches_);
-    const std::vector<data::EntityPair> new_matches =
-        mc.Difference(matches_);
-    if (new_matches.empty()) continue;
-    matches_.InsertAll(mc);
-    // Algorithm 1's Neighbor(.) rule: a new match (u, v) re-activates the
-    // neighborhoods containing both endpoints (evidence is conditioned on
-    // C x C). The just-run neighborhood is skipped: idempotence says it
-    // cannot add anything to its own output.
-    for (const data::EntityPair& p : new_matches) {
-      const std::vector<uint32_t>& ha = icover_.HomesOf(p.a);
-      const std::vector<uint32_t>& hb = icover_.HomesOf(p.b);
-      size_t i = 0;
-      size_t j = 0;
-      while (i < ha.size() && j < hb.size()) {
-        if (ha[i] == hb[j]) {
-          if (ha[i] != c) Activate(ha[i]);
-          ++i;
-          ++j;
-        } else if (ha[i] < hb[j]) {
-          ++i;
-        } else {
-          ++j;
-        }
-      }
-    }
-  }
+  size_t rescored = 0;
+  const core::MpWork work =
+      engine_.Drain(options_.max_evaluations,
+                    [&](uint32_t n) { rescored += PairsInside(n); });
+  matching_stats_.neighborhood_evaluations += work.neighborhood_evaluations;
+  matching_stats_.matcher_calls += work.matcher_calls;
+  matching_stats_.pairs_rescored += rescored;
   // One registry bump per drain with the serial deltas — deterministic for
   // a fixed arrival order, like the MatchingStats they mirror.
   static obs::Counter& evals_counter =
       obs::MetricsRegistry::Global().counter("stream_drain_evaluations");
   static obs::Counter& rescored_counter =
       obs::MetricsRegistry::Global().counter("stream_drain_pairs_rescored");
-  evals_counter.Add(matching_stats_.neighborhood_evaluations -
-                    evaluations_before);
-  rescored_counter.Add(matching_stats_.pairs_rescored - rescored_before);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  static obs::Counter& mp_evaluations = registry.counter("core_mp_evaluations");
-  static obs::Counter& mp_calls = registry.counter("core_mp_matcher_calls");
-  static obs::Counter& mp_created = registry.counter("core_mp_messages_created");
-  static obs::Counter& mp_promoted =
-      registry.counter("core_mp_messages_promoted");
-  mp_evaluations.Add(matching_stats_.neighborhood_evaluations -
-                     evaluations_before);
-  mp_calls.Add(matching_stats_.matcher_calls - calls_before);
-  mp_created.Add(0);
-  mp_promoted.Add(0);
+  evals_counter.Add(work.neighborhood_evaluations);
+  rescored_counter.Add(rescored);
   // Release-published last: a watchdog observing the new value knows this
   // drain's state updates happened before it.
   drains_completed_.fetch_add(1, std::memory_order_release);

@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "core/cover.h"
 #include "core/match_set.h"
 #include "core/matcher.h"
+#include "core/message_passing.h"
 #include "data/dataset.h"
 #include "stream/incremental_cover.h"
 #include "util/epoch_set.h"
@@ -30,7 +30,7 @@ struct StreamingOptions {
   /// shard count (for a fixed arrival order).
   const ExecutionContext* context = nullptr;
   /// Safety cap on neighborhood evaluations per convergence drain
-  /// (0 = the theoretical n * k^2 bound, like core::MpOptions).
+  /// (0 = the theoretical bound, like core::MpOptions).
   size_t max_evaluations = 0;
   /// Periodic metrics snapshot: every this many inserts (0 = off) the
   /// matcher refreshes the process metrics registry's stream gauges
@@ -91,8 +91,9 @@ struct StreamingMatcherState {
 /// update MinHash signatures and the sharded LSH index in place, patch the
 /// affected neighborhoods of an incrementally maintained total cover
 /// (IncrementalCover), enqueue only the dirty neighborhoods, and propagate
-/// new matches through the message-passing activation discipline (the
-/// Neighbor(.) rule of Algorithm 1) until convergence.
+/// new matches until convergence with the same core::MessagePassingEngine
+/// batch RunSmp drains (Algorithm 1 and its Neighbor(.) rule), held for the
+/// matcher's lifetime over the growing cover.
 ///
 /// Convergence guarantee: for a well-behaved matcher (idempotent +
 /// monotone, Definition 4), after every reference has been streamed — in
@@ -132,7 +133,7 @@ class StreamingMatcher {
   void AddBatch(const std::vector<data::EntityId>& refs);
 
   /// The matches over the live references, converged as of the last Add.
-  const core::MatchSet& matches() const { return matches_; }
+  const core::MatchSet& matches() const { return engine_.matches(); }
 
   /// The maintained cover (diagnostics; totality is a maintained
   /// invariant, pinned by the streaming tests).
@@ -181,7 +182,7 @@ class StreamingMatcher {
 
   /// True when the active set is drained — every Add()/AddBatch() returns
   /// quiescent, so this only reads false mid-call. Snapshots require it.
-  bool quiescent() const { return active_.empty(); }
+  bool quiescent() const { return engine_.idle(); }
 
   /// Restores a snapshot into a freshly constructed matcher (nothing
   /// streamed yet) over the same dataset and options. After a successful
@@ -192,10 +193,7 @@ class StreamingMatcher {
   Status RestoreState(StreamingMatcherState state);
 
  private:
-  /// Marks a neighborhood active (set semantics, like Algorithm 1's A).
-  void Activate(uint32_t n);
-
-  /// Runs the SMP loop until the active set drains.
+  /// Drains the engine's active set, counting re-scoring work.
   void Drain();
 
   /// Per-insert observability: canopies-touched histogram + insert counter.
@@ -211,11 +209,9 @@ class StreamingMatcher {
   const core::Matcher& matcher_;
   StreamingOptions options_;
   IncrementalCover icover_;
-  core::MatchSet matches_;
+  /// SMP over icover_'s cover; its active set persists across Add() calls.
+  core::MessagePassingEngine engine_;
   MatchingStats matching_stats_;
-  /// Persistent FIFO active set across Add() calls.
-  std::deque<uint32_t> active_;
-  std::vector<uint8_t> queued_;  // Grows with the cover.
   /// Membership stamps of the neighborhood PairsInside() is counting.
   EpochSet members_;
   /// num_live() at the last metrics publication (metrics_every_inserts).

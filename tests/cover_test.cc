@@ -4,7 +4,7 @@
 
 #include "core/canopy.h"
 #include "core/cover.h"
-#include "core/neighbor_index.h"
+#include "core/message_passing.h"
 #include "data/bib_generator.h"
 #include "data/dataset.h"
 #include "data/figure1.h"
@@ -148,37 +148,86 @@ TEST(CanopyContrastTest, HepthHasLargerNeighborhoodsThanDblp) {
             dblp_cover.MeanNeighborhoodSize());
 }
 
-// -------------------------------------------------------- NeighborIndex --
+// ---------------------------------------------- Neighbor(.) on the index --
+// CoverMembership is the one entity -> neighborhood index; the message-
+// passing engine re-activates neighborhoods through AffectedNeighborhoods.
 
 TEST(NeighborIndexTest, FindsContainingNeighborhoods) {
   Cover cover;
   cover.Add({0, 1, 2});
   cover.Add({2, 3});
   cover.Add({4});
-  NeighborIndex index(cover);
-  EXPECT_EQ(index.NeighborhoodsOf(2), (std::vector<uint32_t>{0, 1}));
-  EXPECT_EQ(index.NeighborhoodsOf(4), (std::vector<uint32_t>{2}));
-  EXPECT_TRUE(index.NeighborhoodsOf(99).empty());
+  const CoverMembership index(cover);
+  EXPECT_EQ(index.HomesOf(2), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(index.HomesOf(4), (std::vector<uint32_t>{2}));
+  EXPECT_TRUE(index.HomesOf(99).empty());
 }
 
 TEST(NeighborIndexTest, AffectedNeedsBothEndpoints) {
   Cover cover;
   cover.Add({0, 1});
   cover.Add({1, 2});
-  NeighborIndex index(cover);
+  const CoverMembership index(cover);
   // Pair (0,1) affects only the first neighborhood; (0,2) affects none.
-  EXPECT_EQ(index.AffectedBy({EntityPair(0, 1)}),
+  EXPECT_EQ(AffectedNeighborhoods(index, {EntityPair(0, 1)}),
             (std::vector<uint32_t>{0}));
-  EXPECT_TRUE(index.AffectedBy({EntityPair(0, 2)}).empty());
+  EXPECT_TRUE(AffectedNeighborhoods(index, {EntityPair(0, 2)}).empty());
 }
 
 TEST(NeighborIndexTest, AffectedDeduplicates) {
   Cover cover;
   cover.Add({0, 1, 2});
-  NeighborIndex index(cover);
-  const auto affected =
-      index.AffectedBy({EntityPair(0, 1), EntityPair(1, 2)});
-  EXPECT_EQ(affected, (std::vector<uint32_t>{0}));
+  cover.Add({1, 2, 3});
+  cover.Add({0, 1});
+  const CoverMembership index(cover);
+  // Pairs listed against id order: the union comes back sorted, unique.
+  EXPECT_EQ(AffectedNeighborhoods(
+                index, {EntityPair(1, 2), EntityPair(0, 1), EntityPair(1, 2)}),
+            (std::vector<uint32_t>{0, 1, 2}));
+}
+
+/// Matches every pair of the neighborhood it is given (well-behaved).
+class AllPairsMatcher : public Matcher {
+ public:
+  explicit AllPairsMatcher(const data::Dataset& dataset)
+      : dataset_(dataset) {}
+
+  MatchSet Match(const std::vector<EntityId>& entities, const MatchSet&,
+                 const MatchSet&) const override {
+    MatchSet out;
+    for (size_t i = 0; i < entities.size(); ++i) {
+      for (size_t j = i + 1; j < entities.size(); ++j) {
+        out.Insert(EntityPair(entities[i], entities[j]));
+      }
+    }
+    return out;
+  }
+
+  const data::Dataset& dataset() const override { return dataset_; }
+
+ private:
+  const data::Dataset& dataset_;
+};
+
+TEST(NeighborIndexTest, JustEvaluatedNeighborhoodIsNotRequeued) {
+  Cover cover;
+  cover.Add({0, 1, 2});
+  cover.Add({1, 2});
+  const CoverMembership index(cover);
+  EXPECT_EQ(AffectedNeighborhoods(index, {EntityPair(1, 2)}, /*skip=*/0),
+            (std::vector<uint32_t>{1}));
+  EXPECT_TRUE(
+      AffectedNeighborhoods(index, {EntityPair(0, 1)}, /*skip=*/0).empty());
+
+  // End to end: a lone neighborhood whose evaluation finds new matches
+  // runs once, not twice.
+  const data::Figure1 fig = data::MakeFigure1();
+  const AllPairsMatcher matcher(*fig.dataset);
+  Cover lone;
+  lone.Add({fig.a1, fig.a2, fig.b1});
+  const MpResult result = RunSmp(matcher, lone);
+  EXPECT_EQ(result.matches.size(), 3u);
+  EXPECT_EQ(result.neighborhood_evaluations, 1u);
 }
 
 }  // namespace

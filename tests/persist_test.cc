@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,6 +104,33 @@ std::string ReadAll(const std::string& path) {
   std::string bytes;
   EXPECT_TRUE(io::ReadFile(path, &bytes).ok()) << path;
   return bytes;
+}
+
+/// The matcher's state, rebuilt from its public accessors (what a snapshot
+/// holds, minus the LSH bucket check).
+stream::StreamingMatcherState StateOf(const StreamingMatcher& matcher) {
+  const stream::IncrementalCover& cover = matcher.incremental_cover();
+  stream::StreamingMatcherState state;
+  state.cover.slots = cover.slots();
+  state.cover.signatures = cover.signatures();
+  state.cover.seed_neighborhoods = cover.seed_neighborhoods();
+  state.cover.neighborhoods = CoverNeighborhoods(matcher);
+  state.cover.core_entries = cover.core_membership().SortedEntries();
+  state.cover.full_entries = cover.full_membership().SortedEntries();
+  state.cover.stats = cover.stats();
+  state.match_keys.assign(matcher.matches().keys().begin(),
+                          matcher.matches().keys().end());
+  std::sort(state.match_keys.begin(), state.match_keys.end());
+  state.matching = matcher.stats().matching;
+  return state;
+}
+
+/// Points `row`'s last home 1000 past a cover of `num_neighborhoods`,
+/// keeping the row sorted with first_home among its homes.
+void PushHomePast(core::MembershipEntry& row, uint32_t num_neighborhoods) {
+  const uint32_t past = num_neighborhoods + 1000;
+  if (row.first_home == row.homes.back()) row.first_home = past;
+  row.homes.back() = past;
 }
 
 // --- io primitives ----------------------------------------------------------
@@ -326,6 +354,27 @@ TEST(SerializationAccessors, CoverMembershipEntriesRoundTrip) {
     EXPECT_EQ(rebuilt.HomesOf(e.entity), original.HomesOf(e.entity));
     EXPECT_EQ(rebuilt.FirstHome(e.entity), original.FirstHome(e.entity));
   }
+
+  // The table is dense by entity id: ids with gaps between them round-trip,
+  // the gaps have no home, and num_entities() counts homed entities only.
+  core::CoverMembership sparse;
+  EXPECT_TRUE(sparse.Add(40, 3));
+  EXPECT_TRUE(sparse.Add(7, 5));
+  EXPECT_TRUE(sparse.Add(40, 1));  // Below the last home: sorted insert.
+  EXPECT_FALSE(sparse.Add(40, 3));
+  EXPECT_EQ(sparse.num_entities(), 2u);
+  const std::vector<core::MembershipEntry> sparse_entries = {
+      {7, 5, {5}}, {40, 3, {1, 3}}};
+  EXPECT_EQ(sparse.SortedEntries(), sparse_entries);
+  const core::CoverMembership sparse_rebuilt =
+      core::CoverMembership::FromEntries(sparse_entries);
+  EXPECT_EQ(sparse_rebuilt.num_entities(), 2u);
+  EXPECT_EQ(sparse_rebuilt.SortedEntries(), sparse_entries);
+  for (const data::EntityId gap : {0u, 8u, 39u, 41u, 1000u}) {
+    EXPECT_FALSE(sparse_rebuilt.Contains(gap)) << gap;
+    EXPECT_TRUE(sparse_rebuilt.HomesOf(gap).empty()) << gap;
+  }
+  EXPECT_EQ(sparse_rebuilt.FirstHome(40), 3u);
 }
 
 // --- snapshot round-trips ---------------------------------------------------
@@ -478,6 +527,137 @@ TEST(SnapshotRobustness, ImplausibleInsertCountIsRejectedNotAllocated) {
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("implausible insert count"),
             std::string::npos);
+}
+
+TEST(SnapshotRobustness, RestoreRejectsStructurallyInconsistentState) {
+  const auto dataset = MakeSmallBib(811);
+  const mln::MlnMatcher matcher(*dataset);
+  const std::vector<data::EntityId> refs = ShuffledRefs(*dataset, 15);
+  const size_t half = (refs.size() / 2 / 16) * 16;
+  StreamingMatcher original(matcher);
+  FeedChunks(original, {refs.begin(), refs.begin() + half}, 16);
+  const stream::StreamingMatcherState good = StateOf(original);
+  const uint32_t num_neighborhoods =
+      static_cast<uint32_t>(good.cover.neighborhoods.size());
+  const data::EntityId num_entities =
+      static_cast<data::EntityId>(dataset->num_entities());
+  ASSERT_GE(good.cover.full_entries.size(), 2u);
+
+  // Control: the untampered image restores and resumes bit-identically.
+  {
+    StreamingMatcher restored(matcher);
+    ASSERT_TRUE(restored.RestoreState(good).ok());
+    StreamingMatcher uninterrupted(matcher);
+    FeedChunks(uninterrupted, refs, 16);
+    FeedChunks(restored, {refs.begin() + half, refs.end()}, 16);
+    ExpectSameState(restored, uninterrupted, "restored from accessors");
+  }
+
+  // An entity whose only full home can be swapped for another
+  // neighborhood without changing the membership count.
+  const auto single = std::find_if(
+      good.cover.full_entries.begin(), good.cover.full_entries.end(),
+      [](const core::MembershipEntry& e) { return e.homes.size() == 1; });
+  ASSERT_NE(single, good.cover.full_entries.end());
+  const size_t single_row = single - good.cover.full_entries.begin();
+  const uint32_t foreign = single->homes[0] == 0 ? 1 : 0;  // Not its home.
+  // The core row of the first entity that has one, and a neighborhood that
+  // is none of its full homes.
+  const core::MembershipEntry& core_row = good.cover.core_entries.front();
+  const auto full_row = std::find_if(
+      good.cover.full_entries.begin(), good.cover.full_entries.end(),
+      [&](const core::MembershipEntry& e) {
+        return e.entity == core_row.entity;
+      });
+  ASSERT_NE(full_row, good.cover.full_entries.end());
+  uint32_t outside = 0;
+  while (std::binary_search(full_row->homes.begin(), full_row->homes.end(),
+                            outside)) {
+    ++outside;
+  }
+  ASSERT_LT(outside, num_neighborhoods);
+
+  using Tamper = std::function<void(stream::StreamingMatcherState&)>;
+  const std::vector<std::pair<std::string, Tamper>> cases = {
+      {"core and full home past the cover",
+       [&](stream::StreamingMatcherState& s) {
+         PushHomePast(s.cover.core_entries.back(), num_neighborhoods);
+         PushHomePast(s.cover.full_entries.back(), num_neighborhoods);
+       }},
+      {"core row entity past the dataset",
+       [&](stream::StreamingMatcherState& s) {
+         s.cover.core_entries.push_back({num_entities, 0, {0}});
+       }},
+      {"member and full row past the dataset",
+       [&](stream::StreamingMatcherState& s) {
+         s.cover.neighborhoods[0].push_back(num_entities);
+         s.cover.full_entries.push_back({num_entities, 0, {0}});
+       }},
+      {"full row that does not mirror the cover",
+       [&](stream::StreamingMatcherState& s) {
+         // Same membership count; only the row -> neighborhood check sees
+         // that the entity is no member of `foreign`.
+         s.cover.full_entries[single_row].homes = {foreign};
+         s.cover.full_entries[single_row].first_home = foreign;
+       }},
+      {"core home outside the full homes",
+       [&](stream::StreamingMatcherState& s) {
+         std::vector<uint32_t>& homes = s.cover.core_entries.front().homes;
+         homes.insert(std::lower_bound(homes.begin(), homes.end(), outside),
+                      outside);
+       }},
+  };
+  for (const auto& [name, tamper] : cases) {
+    stream::StreamingMatcherState bad = good;
+    tamper(bad);
+    StreamingMatcher victim(matcher);
+    const Status status = victim.RestoreState(std::move(bad));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+  }
+}
+
+TEST(SnapshotRobustness, OutOfRangeHomeInCoverBinIsRejected) {
+  // A CRC-valid cover.bin whose membership names a neighborhood past the
+  // cover must fail the load, not abort on the first later insert.
+  const auto dataset = MakeSmallBib(812);
+  const mln::MlnMatcher matcher(*dataset);
+  const std::vector<data::EntityId> refs = ShuffledRefs(*dataset, 16);
+  StreamingMatcher original(matcher);
+  FeedChunks(original, {refs.begin(), refs.begin() + refs.size() / 2}, 16);
+  const std::string dir = ScratchDir("bad_home");
+  ASSERT_TRUE(persist::SaveSnapshot(dir, original).ok());
+  const std::string snap = persist::ListSnapshots(dir)[0].path;
+
+  stream::StreamingMatcherState state = StateOf(original);
+  const uint32_t num_neighborhoods =
+      static_cast<uint32_t>(state.cover.neighborhoods.size());
+  PushHomePast(state.cover.core_entries.back(), num_neighborhoods);
+  PushHomePast(state.cover.full_entries.back(), num_neighborhoods);
+  io::Buffer out;
+  out.PutU8(static_cast<uint8_t>(persist::Section::kCover));
+  out.PutU64(state.cover.neighborhoods.size());
+  for (const std::vector<data::EntityId>& members :
+       state.cover.neighborhoods) {
+    out.PutU32(static_cast<uint32_t>(members.size()));
+    for (data::EntityId e : members) out.PutU32(e);
+  }
+  for (const auto* rows :
+       {&state.cover.core_entries, &state.cover.full_entries}) {
+    out.PutU64(rows->size());
+    for (const core::MembershipEntry& e : *rows) {
+      out.PutU32(e.entity);
+      out.PutU32(e.first_home);
+      out.PutU32(static_cast<uint32_t>(e.homes.size()));
+      for (uint32_t h : e.homes) out.PutU32(h);
+    }
+  }
+  ASSERT_TRUE(io::WriteFramedFile(snap + "/cover.bin", persist::kSnapshotMagic,
+                                  persist::kSnapshotVersion, out.bytes())
+                  .ok());
+  StreamingMatcher victim(matcher);
+  const Status status = persist::LoadSnapshot(snap, victim);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+      << status.message();
 }
 
 // --- WAL --------------------------------------------------------------------

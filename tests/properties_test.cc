@@ -10,9 +10,11 @@
 
 #include "core/match_set.h"
 #include "core/message_passing.h"
+#include "data/bib_generator.h"
 #include "eval/upper_bound.h"
 #include "mln/mln_matcher.h"
 #include "rules/rules_matcher.h"
+#include "stream/streaming_matcher.h"
 #include "test_util.h"
 
 namespace cem {
@@ -282,6 +284,71 @@ TEST(FailureInjectionTest, SmpTerminatesOnNonMonotoneMatcher) {
   options.max_evaluations = 200;
   const core::MpResult result = core::RunSmp(matcher, cover, options);
   EXPECT_LE(result.neighborhood_evaluations, 200u);
+}
+
+/// A NON-idempotent matcher: each call matches one in-neighborhood pair its
+/// evidence lacks, so neighborhoods sharing two entities keep re-activating
+/// each other long after a well-behaved matcher would have converged.
+class OnePairMoreMatcher : public core::Matcher {
+ public:
+  explicit OnePairMoreMatcher(const data::Dataset& dataset)
+      : dataset_(&dataset) {}
+
+  MatchSet Match(const std::vector<EntityId>& entities,
+                 const MatchSet& positive,
+                 const MatchSet& negative) const override {
+    (void)negative;
+    MatchSet out;
+    for (size_t i = 0; i < entities.size(); ++i) {
+      for (size_t j = i + 1; j < entities.size(); ++j) {
+        const EntityPair p(entities[i], entities[j]);
+        if (!positive.Contains(p)) {
+          out.Insert(p);  // Violates idempotence.
+          return out;
+        }
+      }
+    }
+    return out;
+  }
+
+  const data::Dataset& dataset() const override { return *dataset_; }
+
+ private:
+  const data::Dataset* dataset_;
+};
+
+TEST(FailureInjectionTest, StreamingDrainTerminatesOnNonMonotoneMatcher) {
+  const auto dataset =
+      data::GenerateBibDataset(data::BibConfig::DblpLike(0.1));
+  const OnePairMoreMatcher matcher(*dataset);
+  const std::vector<EntityId>& refs = dataset->author_refs();
+  constexpr size_t kChunk = 32;
+  // Per-drain evaluations of a stream under `cap` (0 = the default cap,
+  // which each drain must respect too).
+  const auto drains = [&](size_t cap) {
+    stream::StreamingOptions options;
+    options.max_evaluations = cap;
+    stream::StreamingMatcher streaming(matcher, options);
+    std::vector<size_t> evaluations;
+    for (size_t start = 0; start < refs.size(); start += kChunk) {
+      const size_t before = streaming.stats().matching.neighborhood_evaluations;
+      streaming.AddBatch({refs.begin() + start,
+                          refs.begin() + std::min(refs.size(), start + kChunk)});
+      EXPECT_TRUE(streaming.quiescent());
+      evaluations.push_back(
+          streaming.stats().matching.neighborhood_evaluations - before);
+      const size_t k = streaming.cover().MaxNeighborhoodSize();
+      EXPECT_LE(evaluations.back(),
+                streaming.cover().size() * std::max<size_t>(k * k, 16) + 64);
+    }
+    return evaluations;
+  };
+  const std::vector<size_t> uncapped = drains(0);
+  const size_t cap = 64;
+  // The matcher really does run away: some drain needs more than the cap.
+  ASSERT_GT(*std::max_element(uncapped.begin(), uncapped.end()), cap);
+  const std::vector<size_t> capped = drains(cap);
+  EXPECT_EQ(*std::max_element(capped.begin(), capped.end()), cap);
 }
 
 }  // namespace
