@@ -256,7 +256,7 @@ int main() {
     // tokenize every author ref into a flat corpus, then sharded postings.
     const std::vector<data::EntityId>& refs = scaling_dataset->author_refs();
     const auto build_index = [&](const ExecutionContext& ctx) {
-      text::TokenIndex index(ctx.num_token_shards());
+      text::TokenIndex index(ctx.num_shards());
       index.AddDocuments(
           text::TokenCorpus::Build(
               refs.size(),
@@ -327,15 +327,11 @@ int main() {
     // sizes its own bucket table).
     const blocking::LshCoverOptions lsh_options;
     const blocking::MinHasher hasher(lsh_options.minhash);
-    std::vector<std::vector<uint64_t>> signatures(refs.size());
+    blocking::SignatureMatrix signatures(refs.size(), hasher.num_hashes());
     for (size_t i = 0; i < refs.size(); ++i) {
-      const std::span<const text::TokenRef> tokens =
-          scaling_dataset->BlockingTokens(refs[i]);
-      signatures[i].resize(hasher.num_hashes());
       blocking::simd::MinHashSignatureRefs(
-          tokens.data(), tokens.size(), hasher.salts().data(),
-          hasher.num_hashes(), signatures[i].data(),
-          blocking::ActiveSimdLevel());
+          scaling_dataset->BlockingTokens(refs[i]), hasher.salts(),
+          signatures.row(i), blocking::ActiveSimdLevel());
     }
     constexpr uint32_t kIndexShards = 32;
     size_t lsh_reference_buckets = 0;

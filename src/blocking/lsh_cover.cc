@@ -50,7 +50,7 @@ core::Cover BuildLshCover(const data::Dataset& dataset,
     std::vector<core::AssemblyCandidate> out;
     for (uint32_t other : candidates) {
       const double estimate = MinHasher::EstimateJaccard(
-          signatures.row(doc), signatures.row(other), hasher.num_hashes());
+          signatures.row_span(doc), signatures.row_span(other));
       if (estimate >= options.loose) out.push_back({other, estimate});
     }
     return out;

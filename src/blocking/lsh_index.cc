@@ -40,7 +40,7 @@ void LshIndex::BandKeysInto(const uint64_t* signature, uint64_t* out) const {
 }
 
 std::vector<uint64_t> LshIndex::BandKeys(
-    const std::vector<uint64_t>& signature) const {
+    std::span<const uint64_t> signature) const {
   CEM_CHECK(signature.size() >= params_.bands * params_.rows);
   std::vector<uint64_t> keys(params_.bands);
   BandKeysInto(signature.data(), keys.data());
@@ -102,7 +102,7 @@ void LshIndex::AppendChain(uint32_t head, std::vector<uint32_t>& out) const {
 }
 
 void LshIndex::AddDocument(uint32_t doc_id,
-                           const std::vector<uint64_t>& signature) {
+                           std::span<const uint64_t> signature) {
   CEM_CHECK(signature.size() == num_hashes_)
       << "signature length mismatch with the index configuration";
   ReserveDoc(doc_id);
@@ -111,23 +111,6 @@ void LshIndex::AddDocument(uint32_t doc_id,
   for (uint32_t entry = first; entry < first + params_.bands; ++entry) {
     Link(shards_[ShardOf(doc_band_keys_[entry])], entry);
   }
-}
-
-void LshIndex::AddDocuments(
-    const std::vector<std::vector<uint64_t>>& signatures,
-    const ExecutionContext& ctx) {
-  CEM_CHECK(doc_added_.empty()) << "AddDocuments on a non-empty index";
-  const size_t n = signatures.size();
-  if (n == 0) return;
-  ReserveDoc(static_cast<uint32_t>(n - 1));
-  doc_added_.assign(n, 1);
-  ParallelFor(ctx.pool(), n, [&](size_t doc) {
-    CEM_CHECK(signatures[doc].size() == num_hashes_)
-        << "signature length mismatch with the index configuration";
-    BandKeysInto(signatures[doc].data(),
-                 doc_band_keys_.data() + doc * params_.bands);
-  });
-  InsertBandKeys(ctx);
 }
 
 void LshIndex::AddDocuments(const SignatureMatrix& signatures,
@@ -144,10 +127,6 @@ void LshIndex::AddDocuments(const SignatureMatrix& signatures,
     BandKeysInto(signatures.row(doc),
                  doc_band_keys_.data() + doc * params_.bands);
   });
-  InsertBandKeys(ctx);
-}
-
-void LshIndex::InsertBandKeys(const ExecutionContext& ctx) {
   // Partition the entries by owning shard — one cheap linear pass in entry
   // order, so each shard links its entries exactly as serial AddDocument
   // calls would, and the tables come out identical.
@@ -183,7 +162,7 @@ std::vector<uint32_t> LshIndex::Candidates(uint32_t doc_id) const {
 }
 
 std::vector<uint32_t> LshIndex::CandidatesOfSignature(
-    const std::vector<uint64_t>& signature) const {
+    std::span<const uint64_t> signature) const {
   CEM_CHECK(signature.size() >= num_hashes_)
       << "signature too short for this index";
   std::vector<uint64_t> keys(params_.bands);

@@ -53,17 +53,12 @@ class LshIndex {
 
   /// Adds a document; `doc_id` values should be dense (0..n-1) and each id
   /// added once. The signature must have `num_hashes` components.
-  void AddDocument(uint32_t doc_id, const std::vector<uint64_t>& signature);
+  void AddDocument(uint32_t doc_id, std::span<const uint64_t> signature);
 
-  /// Bulk-adds documents 0..signatures.size()-1 in parallel on `ctx`:
-  /// band keys are computed per document, then each shard inserts the keys
-  /// it owns in document order. The index must be empty. Equivalent to
-  /// calling AddDocument for each document in increasing id order.
-  void AddDocuments(const std::vector<std::vector<uint64_t>>& signatures,
-                    const ExecutionContext& ctx);
-
-  /// Flat-layout overload over a batched SignatureMatrix — the hot path
-  /// the cover builders use. Identical results to the vector form.
+  /// Bulk-adds documents 0..signatures.num_docs()-1 in parallel on `ctx`:
+  /// band keys are computed per row, then each shard inserts the keys it
+  /// owns in document order. The index must be empty. Equivalent to
+  /// calling AddDocument for each row in increasing id order.
   void AddDocuments(const SignatureMatrix& signatures,
                     const ExecutionContext& ctx);
 
@@ -95,7 +90,7 @@ class LshIndex {
   /// appears in the result — callers filter. Deterministic for any shard
   /// count, like Candidates().
   std::vector<uint32_t> CandidatesOfSignature(
-      const std::vector<uint64_t>& signature) const;
+      std::span<const uint64_t> signature) const;
 
   /// Sum over buckets of C(size, 2): the candidate pairs the banding pass
   /// generates, counted with multiplicity — the blocking-work metric the
@@ -115,7 +110,7 @@ class LshIndex {
   /// signatures instead of storing them twice. The key VALUES are part of
   /// the on-disk snapshot format (saved bucket maps are keyed by them), so
   /// this chain must never change — only get faster.
-  std::vector<uint64_t> BandKeys(const std::vector<uint64_t>& signature) const;
+  std::vector<uint64_t> BandKeys(std::span<const uint64_t> signature) const;
 
   /// Heap bytes of the index: bucket-table slots, per-entry band keys and
   /// chain links, and per-document flags — computed from slot and entry
@@ -174,11 +169,6 @@ class LshIndex {
   /// Grows the per-document tables to hold `doc_id` and marks it added
   /// (CHECK-fails on a duplicate add).
   void ReserveDoc(uint32_t doc_id);
-
-  /// Bulk-insert backend shared by both AddDocuments overloads: partitions
-  /// the already-computed entries by owning shard (in entry order), then
-  /// each worker links the entries of the shards it owns.
-  void InsertBandKeys(const ExecutionContext& ctx);
 
   /// Linear probe for `key` in a non-empty head table: the slot holding
   /// its bucket, or the empty slot where the bucket belongs.

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,7 @@ struct MinHashOptions {
 /// similarity, which is what banded LSH exploits. Deterministic: signatures
 /// depend only on (tokens, options), never on global state.
 ///
-/// The inner loop runs on the dispatched hot-path kernels (see
+/// The inner loop runs on the dispatched hot-path kernel (see
 /// minhash_simd.h): tokens are FNV-hashed once, then the k salted
 /// min-reductions execute at ActiveSimdLevel(). Every level is
 /// bit-identical to the historical scalar definition, so signatures (and
@@ -48,24 +49,16 @@ class MinHasher {
 
   /// Returns the k-component signature of `tokens` (duplicates are harmless
   /// — MinHash has set semantics). Callers pass the shared lower-cased
-  /// blocking tokens so signatures agree with the token-overlap index.
+  /// blocking tokens so signatures agree with the token-overlap index. A
+  /// batch of one on the TokenRef kernel (simd::MinHashSignatureRefs), so
+  /// it equals the corpus signature of the same token set bit-for-bit.
   std::vector<uint64_t> Signature(const std::vector<std::string>& tokens) const;
 
-  /// Signature of a pre-hashed token set (each element a Fnv1a64 token
-  /// hash — e.g. text::TokenRef::hash). `out` must hold num_hashes()
-  /// components. Equals
-  /// Signature(tokens) whenever `token_hashes` holds the tokens' hashes.
-  void SignatureFromHashes(const uint64_t* token_hashes, size_t num_tokens,
-                           uint64_t* out) const;
-
   /// Unbiased Jaccard estimate: the fraction of agreeing components.
-  /// Signatures must come from the same MinHasher configuration.
-  static double EstimateJaccard(const std::vector<uint64_t>& a,
-                                const std::vector<uint64_t>& b);
-
-  /// Flat-array overload for matrix rows (see SignatureMatrix).
-  static double EstimateJaccard(const uint64_t* a, const uint64_t* b,
-                                size_t num_hashes);
+  /// Signatures must come from the same MinHasher configuration (equal,
+  /// non-zero lengths).
+  static double EstimateJaccard(std::span<const uint64_t> a,
+                                std::span<const uint64_t> b);
 
  private:
   std::vector<uint64_t> salts_;

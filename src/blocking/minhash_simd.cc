@@ -54,12 +54,9 @@ namespace {
 /// near-random, which is what made it slow. Min is order-independent, so
 /// this computes bit-identical signatures. Two salts per pass gives the
 /// out-of-order core two independent Mix64 dependency chains.
-/// `get_hash(t)` abstracts the token-hash source (flat array or TokenRef
-/// slice) so both entry points share one loop.
-template <typename GetHash>
-void MinHashSignatureScalarImpl(size_t num_tokens, const uint64_t* salts,
-                                size_t num_salts, uint64_t* out,
-                                const GetHash& get_hash) {
+void MinHashSignatureRefsScalar(const text::TokenRef* tokens,
+                                size_t num_tokens, const uint64_t* salts,
+                                size_t num_salts, uint64_t* out) {
   size_t i = 0;
   for (; i + 2 <= num_salts; i += 2) {
     const uint64_t salt0 = salts[i];
@@ -67,7 +64,7 @@ void MinHashSignatureScalarImpl(size_t num_tokens, const uint64_t* salts,
     uint64_t best0 = ~0ULL;
     uint64_t best1 = ~0ULL;
     for (size_t t = 0; t < num_tokens; ++t) {
-      const uint64_t base = get_hash(t);
+      const uint64_t base = tokens[t].hash;
       const uint64_t h0 = Mix64(base ^ salt0);
       const uint64_t h1 = Mix64(base ^ salt1);
       best0 = h0 < best0 ? h0 : best0;
@@ -80,7 +77,7 @@ void MinHashSignatureScalarImpl(size_t num_tokens, const uint64_t* salts,
     const uint64_t salt = salts[i];
     uint64_t best = ~0ULL;
     for (size_t t = 0; t < num_tokens; ++t) {
-      const uint64_t h = Mix64(get_hash(t) ^ salt);
+      const uint64_t h = Mix64(tokens[t].hash ^ salt);
       best = h < best ? h : best;
     }
     out[i] = best;
@@ -96,34 +93,21 @@ size_t CountEqualScalar(const uint64_t* a, const uint64_t* b, size_t n) {
 }  // namespace
 
 // Defined in minhash_simd_avx2.cc (the only -mavx2 translation unit).
-void MinHashSignatureAvx2(const uint64_t* token_hashes, size_t num_tokens,
-                          const uint64_t* salts, size_t num_salts,
-                          uint64_t* out);
 void MinHashSignatureRefsAvx2(const text::TokenRef* tokens, size_t num_tokens,
                               const uint64_t* salts, size_t num_salts,
                               uint64_t* out);
 size_t CountEqualAvx2(const uint64_t* a, const uint64_t* b, size_t n);
 
-void MinHashSignature(const uint64_t* token_hashes, size_t num_tokens,
-                      const uint64_t* salts, size_t num_salts, uint64_t* out,
-                      SimdLevel level) {
+void MinHashSignatureRefs(std::span<const text::TokenRef> tokens,
+                          std::span<const uint64_t> salts, uint64_t* out,
+                          SimdLevel level) {
   if (level == SimdLevel::kAvx2) {
-    MinHashSignatureAvx2(token_hashes, num_tokens, salts, num_salts, out);
+    MinHashSignatureRefsAvx2(tokens.data(), tokens.size(), salts.data(),
+                             salts.size(), out);
     return;
   }
-  MinHashSignatureScalarImpl(num_tokens, salts, num_salts, out,
-                             [&](size_t t) { return token_hashes[t]; });
-}
-
-void MinHashSignatureRefs(const text::TokenRef* tokens, size_t num_tokens,
-                          const uint64_t* salts, size_t num_salts,
-                          uint64_t* out, SimdLevel level) {
-  if (level == SimdLevel::kAvx2) {
-    MinHashSignatureRefsAvx2(tokens, num_tokens, salts, num_salts, out);
-    return;
-  }
-  MinHashSignatureScalarImpl(num_tokens, salts, num_salts, out,
-                             [&](size_t t) { return tokens[t].hash; });
+  MinHashSignatureRefsScalar(tokens.data(), tokens.size(), salts.data(),
+                             salts.size(), out);
 }
 
 size_t CountEqual(const uint64_t* a, const uint64_t* b, size_t n,
@@ -189,15 +173,13 @@ SignatureMatrix ComputeSignatures(const MinHasher& hasher,
       obs::MetricsRegistry::Global().counter("blocking_simd_batches");
   static obs::Histogram& batch_hist =
       obs::MetricsRegistry::Global().histogram("minhash_batch_us");
-  const std::vector<uint64_t>& salts = hasher.salts();
   ParallelFor(ctx.pool(), num_batches, [&](size_t batch) {
     Timer timer;
     const size_t begin = batch * kSignatureBatchDocs;
     const size_t end = std::min(n, begin + kSignatureBatchDocs);
     for (size_t doc = begin; doc < end; ++doc) {
-      const std::span<const text::TokenRef> tokens = corpus.doc(doc);
-      simd::MinHashSignatureRefs(tokens.data(), tokens.size(), salts.data(),
-                                 salts.size(), matrix.row(doc), level);
+      simd::MinHashSignatureRefs(corpus.doc(doc), hasher.salts(),
+                                 matrix.row(doc), level);
     }
     batches_counter.Add(1);
     batch_hist.Record(timer.ElapsedMillis() * 1e3);

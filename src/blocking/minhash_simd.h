@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "text/token_arena.h"
 #include "util/execution_context.h"
@@ -54,20 +53,17 @@ void ResetActiveSimdLevelForTesting();
 
 namespace simd {
 
-/// The MinHash inner kernel: out[i] = min over tokens of
-/// Mix64(token_hashes[t] ^ salts[i]), or ~0ULL (MinHasher::kEmptySlot)
-/// when there are no tokens. Bit-identical across levels and to the
-/// historical per-token scalar loop (min is order-independent).
-void MinHashSignature(const uint64_t* token_hashes, size_t num_tokens,
-                      const uint64_t* salts, size_t num_salts, uint64_t* out,
-                      SimdLevel level);
-
-/// Same kernel reading the precomputed hashes straight out of a document's
-/// TokenRef slice (stride sizeof(TokenRef)) — the batch path calls this so
-/// no per-document hash copy is needed.
-void MinHashSignatureRefs(const text::TokenRef* tokens, size_t num_tokens,
-                          const uint64_t* salts, size_t num_salts,
-                          uint64_t* out, SimdLevel level);
+/// The MinHash kernel — the one signature entry point every consumer
+/// (batch ComputeSignatures, streaming ingest, cold serving queries,
+/// MinHasher::Signature) runs: out[i] = min over tokens of
+/// Mix64(tokens[t].hash ^ salts[i]), or ~0ULL (MinHasher::kEmptySlot) when
+/// there are no tokens. `out` holds salts.size() components. Reads the
+/// precomputed hashes straight out of the TokenRef slice, so no per-document
+/// hash copy is needed. Bit-identical across levels and to the historical
+/// per-token scalar loop (min is order-independent).
+void MinHashSignatureRefs(std::span<const text::TokenRef> tokens,
+                          std::span<const uint64_t> salts, uint64_t* out,
+                          SimdLevel level);
 
 /// Number of equal components between two length-`n` signatures — the
 /// EstimateJaccard inner loop.
@@ -80,8 +76,10 @@ size_t CountEqual(const uint64_t* a, const uint64_t* b, size_t n,
 /// contiguous components — the SoA batch layout (one allocation for the
 /// whole corpus instead of one heap vector per signature). Storage is
 /// deliberately left uninitialised (make_unique_for_overwrite): every row
-/// is fully written by the kernel, and zero-filling megabytes first shows
-/// up in the batch wall time. Move-only.
+/// is fully written before it is read, zero-filling megabytes first shows
+/// up in the batch wall time, and a large matrix whose rows are never
+/// written (the streaming store sized for every reference) costs address
+/// space, not resident memory. Move-only.
 class SignatureMatrix {
  public:
   SignatureMatrix() = default;
@@ -100,10 +98,6 @@ class SignatureMatrix {
   }
   std::span<const uint64_t> row_span(size_t doc) const {
     return {row(doc), num_hashes_};
-  }
-  /// Copies row `doc` into an owning vector (the persist/streaming format).
-  std::vector<uint64_t> row_vector(size_t doc) const {
-    return {row(doc), row(doc) + num_hashes_};
   }
 
  private:

@@ -52,12 +52,11 @@ inline __m256i MinU64(__m256i a, __m256i b) {
   return _mm256_blendv_epi8(a, b, a_gt_b);
 }
 
-/// Shared kernel body; `get_hash(t)` abstracts the token-hash source
-/// (flat array or TokenRef slice).
-template <typename GetHash>
-void MinHashSignatureAvx2Impl(size_t num_tokens, const uint64_t* salts,
-                              size_t num_salts, uint64_t* out,
-                              const GetHash& get_hash) {
+}  // namespace
+
+void MinHashSignatureRefsAvx2(const text::TokenRef* tokens, size_t num_tokens,
+                              const uint64_t* salts, size_t num_salts,
+                              uint64_t* out) {
   size_t i = 0;
   // Sixteen permutations (four registers) per pass: each token hash is
   // broadcast once and feeds four independent Mix4 dependency chains, so
@@ -77,7 +76,7 @@ void MinHashSignatureAvx2Impl(size_t num_tokens, const uint64_t* salts,
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(salts + i + 12));
     for (size_t t = 0; t < num_tokens; ++t) {
       const __m256i base =
-          _mm256_set1_epi64x(static_cast<long long>(get_hash(t)));
+          _mm256_set1_epi64x(static_cast<long long>(tokens[t].hash));
       best0 = MinU64(best0, Mix4(_mm256_xor_si256(base, salt0)));
       best1 = MinU64(best1, Mix4(_mm256_xor_si256(base, salt1)));
       best2 = MinU64(best2, Mix4(_mm256_xor_si256(base, salt2)));
@@ -95,7 +94,7 @@ void MinHashSignatureAvx2Impl(size_t num_tokens, const uint64_t* salts,
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(salts + i));
     for (size_t t = 0; t < num_tokens; ++t) {
       const __m256i base =
-          _mm256_set1_epi64x(static_cast<long long>(get_hash(t)));
+          _mm256_set1_epi64x(static_cast<long long>(tokens[t].hash));
       best = MinU64(best, Mix4(_mm256_xor_si256(base, salt4)));
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), best);
@@ -105,27 +104,11 @@ void MinHashSignatureAvx2Impl(size_t num_tokens, const uint64_t* salts,
   for (; i < num_salts; ++i) {
     uint64_t best = ~0ULL;
     for (size_t t = 0; t < num_tokens; ++t) {
-      const uint64_t h = Mix64(get_hash(t) ^ salts[i]);
+      const uint64_t h = Mix64(tokens[t].hash ^ salts[i]);
       if (h < best) best = h;
     }
     out[i] = best;
   }
-}
-
-}  // namespace
-
-void MinHashSignatureAvx2(const uint64_t* token_hashes, size_t num_tokens,
-                          const uint64_t* salts, size_t num_salts,
-                          uint64_t* out) {
-  MinHashSignatureAvx2Impl(num_tokens, salts, num_salts, out,
-                           [&](size_t t) { return token_hashes[t]; });
-}
-
-void MinHashSignatureRefsAvx2(const text::TokenRef* tokens, size_t num_tokens,
-                              const uint64_t* salts, size_t num_salts,
-                              uint64_t* out) {
-  MinHashSignatureAvx2Impl(num_tokens, salts, num_salts, out,
-                           [&](size_t t) { return tokens[t].hash; });
 }
 
 size_t CountEqualAvx2(const uint64_t* a, const uint64_t* b, size_t n) {
@@ -150,11 +133,6 @@ namespace cem::blocking::simd {
 
 // Non-x86 builds: SimdLevelSupported(kAvx2) is false, so these stubs are
 // unreachable; they exist to keep the link closed.
-void MinHashSignatureAvx2(const uint64_t*, size_t, const uint64_t*, size_t,
-                          uint64_t*) {
-  CEM_CHECK(false) << "AVX2 kernels are not built on this architecture";
-}
-
 void MinHashSignatureRefsAvx2(const text::TokenRef*, size_t, const uint64_t*,
                               size_t, uint64_t*) {
   CEM_CHECK(false) << "AVX2 kernels are not built on this architecture";

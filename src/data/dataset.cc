@@ -93,7 +93,7 @@ void Dataset::Finalize(const ExecutionContext& ctx) {
   }
   {
     CEM_TRACE("blocking/token_index_build");
-    blocking_index_ = text::TokenIndex(ctx.num_token_shards());
+    blocking_index_ = text::TokenIndex(ctx.num_shards());
     blocking_index_.AddDocuments(std::move(corpus), ctx);
   }
   static obs::Counter& postings_counter =

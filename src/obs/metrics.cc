@@ -24,6 +24,28 @@ uint32_t ThreadSlot() {
 
 // --- Histogram --------------------------------------------------------------
 
+double BucketPercentile(std::span<const uint64_t> buckets,
+                        std::span<const double> bounds, uint64_t total,
+                        double q) {
+  if (total == 0) return 0.0;
+  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    if (buckets[i] == 0) continue;
+    const uint64_t next = cumulative + buckets[i];
+    if (static_cast<double>(next) >= target) {
+      if (i == bounds.size()) return bounds.back();  // Overflow bucket.
+      const double lower = i == 0 ? 0.0 : bounds[i - 1];
+      const double upper = bounds[i];
+      const double within = (target - static_cast<double>(cumulative)) /
+                            static_cast<double>(buckets[i]);
+      return lower + (upper - lower) * std::clamp(within, 0.0, 1.0);
+    }
+    cumulative = next;
+  }
+  return bounds.back();
+}
+
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   CEM_CHECK(!bounds_.empty()) << "histogram needs at least one bucket bound";
   CEM_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()) &&
@@ -94,36 +116,20 @@ double Histogram::Percentile(double q) const {
   uint64_t total = 0;
   double sum = 0.0;
   MergedBuckets(&buckets, &total, &sum);
-  if (total == 0) return 0.0;
-  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i] == 0) continue;
-    const uint64_t next = cumulative + buckets[i];
-    if (static_cast<double>(next) >= target) {
-      if (i == bounds_.size()) return bounds_.back();  // Overflow bucket.
-      const double lower = i == 0 ? 0.0 : bounds_[i - 1];
-      const double upper = bounds_[i];
-      const double within =
-          (target - static_cast<double>(cumulative)) /
-          static_cast<double>(buckets[i]);
-      return lower + (upper - lower) * std::clamp(within, 0.0, 1.0);
-    }
-    cumulative = next;
-  }
-  return bounds_.back();
+  return BucketPercentile(buckets, bounds_, total, q);
 }
 
 HistogramStats Histogram::Stats() const {
+  // One merged read serves every percentile, so count, sum and the three
+  // quantiles describe the same instant. Snapshots still race with
+  // writers by design (monitoring reads are always approximate in time).
   std::vector<uint64_t> buckets;
   HistogramStats stats;
   MergedBuckets(&buckets, &stats.count, &stats.sum);
   if (stats.count == 0) return stats;
-  // One merged read per percentile keeps this simple; snapshots race with
-  // writers by design (monitoring reads are always approximate in time).
-  stats.p50 = Percentile(0.50);
-  stats.p95 = Percentile(0.95);
-  stats.p99 = Percentile(0.99);
+  stats.p50 = BucketPercentile(buckets, bounds_, stats.count, 0.50);
+  stats.p95 = BucketPercentile(buckets, bounds_, stats.count, 0.95);
+  stats.p99 = BucketPercentile(buckets, bounds_, stats.count, 0.99);
   return stats;
 }
 

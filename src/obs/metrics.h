@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,6 +81,16 @@ struct HistogramStats {
   double p99 = 0.0;
 };
 
+/// Estimated value at quantile `q` (clamped to [0, 1]) of merged bucket
+/// counts: buckets[i] counts values <= bounds[i], the last bucket is the
+/// overflow, and `total` is their sum. Interpolates linearly inside the
+/// selected bucket; inside the overflow bucket it clamps to the last
+/// finite bound (never +inf/NaN). 0 when `total` is 0. Histogram and
+/// RollingWindow both read their percentiles through it.
+double BucketPercentile(std::span<const uint64_t> buckets,
+                        std::span<const double> bounds, uint64_t total,
+                        double q);
+
 /// Fixed-bucket histogram: bucket i counts values <= bounds[i] (the last
 /// bucket is the overflow). Record() is wait-free on a thread-local slot of
 /// per-bucket counters; percentile reads merge the slots and interpolate
@@ -114,7 +125,7 @@ class Histogram {
     std::unique_ptr<std::atomic<uint64_t>[]> buckets;
     std::atomic<double> sum{0.0};
   };
-  /// Merged per-bucket counts + total, shared by the percentile walks.
+  /// Merged per-bucket counts + total, shared by the percentile reads.
   void MergedBuckets(std::vector<uint64_t>* buckets, uint64_t* total,
                      double* sum) const;
 

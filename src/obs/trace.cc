@@ -130,15 +130,14 @@ void TraceRecorder::Clear() {
   }
 }
 
-void TraceSpan::Finish(void* self, double elapsed_ms) {
-  auto* span = static_cast<TraceSpan*>(self);
-  if (span->latency_us_ != nullptr) {
-    span->latency_us_->Record(elapsed_ms * 1e3);
+TraceSpan::~TraceSpan() {
+  const uint64_t duration_ns = TraceNowNs() - start_ns_;
+  if (latency_us_ != nullptr) {
+    latency_us_->Record(static_cast<double>(duration_ns) / 1e3);
   }
-  if (span->traced_) {
+  if (traced_) {
     TraceRecorder::Global().Record(
-        {span->name_, span->start_ns_,
-         static_cast<uint64_t>(elapsed_ms * 1e6), TraceThreadId()});
+        {name_, start_ns_, duration_ns, TraceThreadId()});
   }
 }
 

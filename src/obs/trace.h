@@ -10,7 +10,6 @@
 
 #include "obs/metrics.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace cem::obs {
 
@@ -81,10 +80,11 @@ class TraceRecorder {
   std::vector<TraceEvent> retired_;
 };
 
-/// RAII span: measures construction-to-destruction with a ScopedTimer and,
-/// on exit, records a TraceEvent (when the recorder is enabled) and/or a
-/// sample into `latency_us` (when given — microseconds, always on, feeding
-/// the registry's `hist_*` percentiles even with tracing off).
+/// RAII span: stamps TraceNowNs() at construction and again at
+/// destruction — one clock read per edge — and, on exit, records a
+/// TraceEvent (when the recorder is enabled) and/or a sample into
+/// `latency_us` (when given — microseconds, always on, feeding the
+/// registry's `hist_*` percentiles even with tracing off).
 class TraceSpan {
  public:
   /// `name` must be a string literal (or otherwise outlive the recorder).
@@ -97,14 +97,13 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
- private:
-  static void Finish(void* self, double elapsed_ms);
+  ~TraceSpan();
 
+ private:
   const char* name_;
   Histogram* latency_us_;
   bool traced_;
   uint64_t start_ns_;
-  ScopedTimer timer_{&TraceSpan::Finish, this};
 };
 
 }  // namespace cem::obs

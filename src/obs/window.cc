@@ -6,34 +6,6 @@
 #include "obs/trace.h"
 
 namespace cem::obs {
-namespace {
-
-/// The same linear interpolation Histogram::Percentile applies, over the
-/// window's merged latency buckets: percentiles inside the overflow
-/// bucket clamp to the last finite bound (never +inf/NaN).
-double BucketPercentile(const std::vector<uint64_t>& buckets,
-                        const std::vector<double>& bounds, uint64_t total,
-                        double q) {
-  if (total == 0) return 0.0;
-  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i] == 0) continue;
-    const uint64_t next = cumulative + buckets[i];
-    if (static_cast<double>(next) >= target) {
-      if (i == bounds.size()) return bounds.back();  // Overflow bucket.
-      const double lower = i == 0 ? 0.0 : bounds[i - 1];
-      const double upper = bounds[i];
-      const double within = (target - static_cast<double>(cumulative)) /
-                            static_cast<double>(buckets[i]);
-      return lower + (upper - lower) * std::clamp(within, 0.0, 1.0);
-    }
-    cumulative = next;
-  }
-  return bounds.back();
-}
-
-}  // namespace
 
 RollingWindow::RollingWindow()
     : bounds_(Histogram::DefaultLatencyBoundsUs()) {

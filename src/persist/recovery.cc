@@ -187,10 +187,7 @@ Status PersistentStreamingMatcher::Recover(RecoveryInfo* info) {
 }
 
 Status PersistentStreamingMatcher::Add(data::EntityId ref) {
-  if (!started_) return FailedPreconditionError("Start() or Recover() first");
-  CEM_RETURN_IF_ERROR(wal_.AppendChunk({ref}));
-  inner_->Add(ref);
-  return MaybeAutoCheckpoint();
+  return AddBatch({ref});
 }
 
 Status PersistentStreamingMatcher::AddBatch(

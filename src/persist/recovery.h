@@ -122,10 +122,10 @@ class PersistentStreamingMatcher {
   /// InvalidArgument on a fingerprint mismatch.
   Status Recover(RecoveryInfo* info = nullptr);
 
-  /// Ingest one reference / one chunk: WAL append + flush, apply,
-  /// auto-checkpoint. A non-OK status (real IO failure or simulated
-  /// crash) means the chunk may not have been applied; the matcher must
-  /// be abandoned and recovered.
+  /// Ingest one chunk: WAL append + flush, apply, auto-checkpoint. A
+  /// non-OK status (real IO failure or simulated crash) means the chunk
+  /// may not have been applied; the matcher must be abandoned and
+  /// recovered. Add(ref) is AddBatch({ref}).
   Status Add(data::EntityId ref);
   Status AddBatch(const std::vector<data::EntityId>& refs);
 

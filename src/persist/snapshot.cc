@@ -217,7 +217,8 @@ Status SaveSnapshot(const std::string& dir,
     sig.PutU64(count);
     for (size_t slot = s; slot < n; slot += num_shards) {
       sig.PutU32(static_cast<uint32_t>(slot));
-      for (uint64_t component : cover.signatures()[slot]) {
+      for (uint64_t component :
+           cover.signature(static_cast<uint32_t>(slot))) {
         sig.PutU64(component);
       }
     }
@@ -430,11 +431,14 @@ Status LoadSnapshot(const std::string& snap_dir,
     }
   }
 
-  // Signature shard files, read and decoded in parallel. Slot residues make
-  // the per-shard writes into `signatures` disjoint, and each file must
-  // cover its residue class in strictly ascending slot order, so a total
-  // count of n proves every slot was filled exactly once.
-  state.cover.signatures.assign(n, {});
+  // Signature shard files, read and decoded in parallel straight into the
+  // rows of one matrix. Slot residues make the per-shard row writes
+  // disjoint, and each file must cover its residue class in strictly
+  // ascending slot order, so a total count of n proves every row was
+  // filled exactly once. Every file must carry the configured signature
+  // length, so rows can never misalign.
+  const uint32_t num_hashes = cover.num_hashes();
+  state.cover.signatures = blocking::SignatureMatrix(n, num_hashes);
   std::vector<Status> shard_status(file_shards);
   std::vector<uint64_t> shard_counts(file_shards, 0);
   ParallelFor(ctx.pool(), file_shards, [&](size_t s) {
@@ -448,11 +452,16 @@ Status LoadSnapshot(const std::string& snap_dir,
     io::Cursor in(std::string_view(payload).substr(1));
     const uint32_t shard = in.GetU32();
     const uint32_t total = in.GetU32();
-    const uint32_t num_hashes = in.GetU32();
+    const uint32_t file_hashes = in.GetU32();
     const uint64_t count = in.GetU64();
     if (shard != s || total != file_shards) {
       shard_status[s] = InvalidArgumentError(
           snap_dir + ": signature shard header mismatch");
+      return;
+    }
+    if (file_hashes != num_hashes) {
+      shard_status[s] = InvalidArgumentError(
+          snap_dir + ": signature length disagrees with the configuration");
       return;
     }
     uint64_t previous_slot = 0;
@@ -467,11 +476,8 @@ Status LoadSnapshot(const std::string& snap_dir,
       }
       first = false;
       previous_slot = slot;
-      std::vector<uint64_t>& sig = state.cover.signatures[slot];
-      sig.reserve(io::ClampCount(num_hashes, in.remaining(), 8));
-      for (uint32_t h = 0; h < num_hashes && in.ok(); ++h) {
-        sig.push_back(in.GetU64());
-      }
+      uint64_t* row = state.cover.signatures.row(slot);
+      for (uint32_t h = 0; h < num_hashes; ++h) row[h] = in.GetU64();
     }
     if (!in.AtEnd()) {
       shard_status[s] =

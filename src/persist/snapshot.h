@@ -18,7 +18,7 @@ namespace cem::persist {
 ///   matches.bin   converged match keys + matching counters
 ///   cover.bin     neighborhoods + core/full membership
 ///   sig_<s>.bin   MinHash signatures of slots == s (mod num_shards)
-///   lsh_<s>.bin   LSH buckets of shard s (fast path; optional on load)
+///   lsh_<s>.bin   LSH buckets of shard s (required on load, as a check)
 ///   MANIFEST      fingerprint + cross-checked counts — written LAST, so
 ///                 its presence and checksum mark the snapshot complete.
 /// Every file is an io::WriteFramedFile (magic + version + one checksummed
@@ -28,9 +28,11 @@ namespace cem::persist {
 /// what makes the committed golden fixture stable across hosts).
 ///
 /// Shard files are written and read as ExecutionContext parallel-for jobs;
-/// the shard count is recorded in the MANIFEST. Loading into a matcher
-/// with a different LSH shard count skips the lsh_<s> files and rebuilds
-/// the index from the signatures (identical queries either way).
+/// the shard count is recorded in the MANIFEST. Every sig_<s> and lsh_<s>
+/// file must be present. The loader always rebuilds the LSH index from the
+/// signatures, with the loading matcher's own shard count, and then checks
+/// every saved bucket against the rebuilt ones — bucket contents do not
+/// depend on the shard count, so any saved count checks any loaded one.
 
 /// Saves one complete snapshot of `matcher` (which must be quiescent —
 /// every Add/AddBatch returns quiescent) under `dir`, creating

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -162,9 +163,15 @@ QueryResult MatchService::LookupLocked(const Query& query,
   // (bit-identical to recomputation, and cheaper); for cold ones, signed
   // from the reference's span of the dataset's blocking substrate — the
   // only per-query MinHash work.
-  const std::vector<uint64_t>& signature =
-      result.live ? icover.signatures()[self_slot]
-                  : icover.ComputeSignature(query.ref);
+  std::vector<uint64_t> cold_signature;
+  std::span<const uint64_t> signature;
+  if (result.live) {
+    signature = icover.signature(self_slot);
+  } else {
+    cold_signature.resize(icover.num_hashes());
+    icover.ComputeSignature(query.ref, cold_signature.data());
+    signature = cold_signature;
+  }
   trace->signature_us = trace->SinceStartUs();
 
   // LSH probe: slots sharing at least one band bucket, self filtered.
@@ -175,8 +182,8 @@ QueryResult MatchService::LookupLocked(const Query& query,
     if (slot == self_slot) continue;
     CandidateScore c;
     c.ref = icover.slots()[slot];
-    c.jaccard = blocking::MinHasher::EstimateJaccard(
-        signature, icover.signatures()[slot]);
+    c.jaccard =
+        blocking::MinHasher::EstimateJaccard(signature, icover.signature(slot));
     result.candidates.push_back(c);
   }
   scanned.Add(result.candidates.size());

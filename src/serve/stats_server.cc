@@ -146,22 +146,33 @@ void StatsServer::AcceptLoop() {
 }
 
 void StatsServer::ServeConnection(int fd) const {
-  // Only the request line matters: "GET <path> HTTP/1.x". Read until its
-  // newline (headers may trail in the buffer; they are ignored).
+  // Only the request line matters: "GET <path> HTTP/1.x". The headers are
+  // ignored, but they are still read — through the blank line that ends
+  // them — before the response goes out: closing a socket with unread
+  // request bytes makes the kernel answer with a reset, which can destroy
+  // the response in flight. Bounded, so an endless header stream cannot
+  // hold the single accept thread (the receive timeout bounds a silent
+  // one).
+  constexpr size_t kMaxRequestBytes = 64 * 1024;
+  std::string received;
   char buf[2048];
-  size_t have = 0;
-  while (have < sizeof(buf) - 1) {
-    const ssize_t n = ::recv(fd, buf + have, sizeof(buf) - 1 - have, 0);
+  while (received.size() < kMaxRequestBytes) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      if (have == 0) return;  // Nothing readable; drop the connection.
+      if (received.empty()) return;  // Nothing readable; drop the connection.
       break;
     }
-    have += static_cast<size_t>(n);
-    if (std::memchr(buf, '\n', have) != nullptr) break;
+    // Re-scan from just before the new bytes: a terminator may straddle two
+    // reads.
+    const size_t from = received.size() < 3 ? 0 : received.size() - 3;
+    received.append(buf, static_cast<size_t>(n));
+    if (received.find("\r\n\r\n", from) != std::string::npos ||
+        received.find("\n\n", from) != std::string::npos) {
+      break;
+    }
   }
-  buf[have] = '\0';
-  std::string_view request(buf, have);
+  std::string_view request(received);
   request = request.substr(0, request.find_first_of("\r\n"));
 
   Response response;

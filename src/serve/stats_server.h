@@ -76,7 +76,8 @@ class StatsServer {
   StatsServer(int listen_fd, uint16_t port, StatsSources sources);
 
   void AcceptLoop();
-  /// Reads the request line, routes it, writes the response.
+  /// Reads the request through its blank line (bounded), routes the
+  /// request line, writes the response.
   void ServeConnection(int fd) const;
 
   const int listen_fd_;

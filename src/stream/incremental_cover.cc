@@ -46,22 +46,20 @@ IncrementalCover::IncrementalCover(const data::Dataset& dataset,
     : dataset_(dataset),
       options_(options),
       hasher_(options.minhash),
-      index_(options.lsh, hasher_.num_hashes(), ctx.num_shards()) {
+      index_(options.lsh, hasher_.num_hashes(), ctx.num_shards()),
+      signatures_(dataset.author_refs().size(), hasher_.num_hashes()) {
   CEM_CHECK(options.tight >= options.loose)
       << "tight threshold must be at least the loose threshold";
 }
 
-std::vector<uint64_t> IncrementalCover::ComputeSignature(
-    data::EntityId ref) const {
+void IncrementalCover::ComputeSignature(data::EntityId ref,
+                                        uint64_t* out) const {
   // Signs the reference's span of the dataset's blocking substrate: its
   // tokens were hashed once at Finalize, so only the salted
   // min-reductions run here, on the dispatched kernel.
-  const std::span<const text::TokenRef> tokens = dataset_.BlockingTokens(ref);
-  std::vector<uint64_t> signature(hasher_.num_hashes());
-  blocking::simd::MinHashSignatureRefs(
-      tokens.data(), tokens.size(), hasher_.salts().data(),
-      hasher_.num_hashes(), signature.data(), blocking::ActiveSimdLevel());
-  return signature;
+  blocking::simd::MinHashSignatureRefs(dataset_.BlockingTokens(ref),
+                                       hasher_.salts(), out,
+                                       blocking::ActiveSimdLevel());
 }
 
 void IncrementalCover::AddMember(uint32_t n, data::EntityId e, bool core,
@@ -98,18 +96,21 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
   // state), and the error must surface as a skippable status — recovery
   // falls back to an older snapshot — never a crash.
   const size_t n = state.slots.size();
-  if (state.signatures.size() != n || state.seed_neighborhoods.size() != n ||
-      state.stats.inserts != n) {
+  if (state.signatures.num_docs() != n ||
+      state.seed_neighborhoods.size() != n || state.stats.inserts != n) {
     return InvalidArgumentError("inconsistent slot-indexed state sizes");
+  }
+  if (n > signatures_.num_docs()) {
+    return InvalidArgumentError("more slots than author references");
+  }
+  if (n > 0 && state.signatures.num_hashes() != hasher_.num_hashes()) {
+    return InvalidArgumentError("signature length mismatch");
   }
   for (size_t slot = 0; slot < n; ++slot) {
     const data::EntityId ref = state.slots[slot];
     if (ref >= dataset_.num_entities() ||
         dataset_.entity(ref).type != data::EntityType::kAuthorRef) {
       return InvalidArgumentError("slot holds a non-author-ref entity");
-    }
-    if (state.signatures[slot].size() != hasher_.num_hashes()) {
-      return InvalidArgumentError("signature length mismatch");
     }
     const uint32_t seed = state.seed_neighborhoods[slot];
     if (seed != kNoSeed && seed >= state.neighborhoods.size()) {
@@ -161,7 +162,6 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
   }
 
   slots_ = std::move(state.slots);
-  signatures_ = std::move(state.signatures);
   seed_neighborhood_ = std::move(state.seed_neighborhoods);
   slot_of_.reserve(n);
   for (uint32_t slot = 0; slot < n; ++slot) {
@@ -169,7 +169,9 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
       return InvalidArgumentError("reference appears in two slots");
     }
   }
-  index_.AddDocuments(signatures_, ctx);
+  index_.AddDocuments(state.signatures, ctx);
+  std::copy_n(state.signatures.row(0), n * hasher_.num_hashes(),
+              signatures_.row(0));
   if (!state.lsh_buckets.empty()) {
     CEM_RETURN_IF_ERROR(index_.CheckSavedBuckets(state.lsh_buckets));
   }
@@ -183,18 +185,22 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
 }
 
 std::vector<uint32_t> IncrementalCover::Insert(
-    data::EntityId ref, std::vector<uint64_t> signature) {
+    data::EntityId ref, std::span<const uint64_t> signature) {
   CEM_CHECK(dataset_.entity(ref).type == data::EntityType::kAuthorRef)
       << "streaming ingest takes author references";
   CEM_CHECK(!is_live(ref)) << "reference " << ref << " inserted twice";
+  CEM_CHECK(signature.size() == hasher_.num_hashes())
+      << "signature length mismatch";
 
   std::vector<uint32_t> dirty;
+  // Live slots are distinct author references, so the slot always has a
+  // row in the store.
   const uint32_t slot = static_cast<uint32_t>(index_.size());
   slots_.push_back(ref);
   slot_of_.emplace(ref, slot);
   seed_neighborhood_.push_back(kNoSeed);
-  index_.AddDocument(slot, signature);
-  signatures_.push_back(std::move(signature));
+  std::copy(signature.begin(), signature.end(), signatures_.row(slot));
+  index_.AddDocument(slot, signatures_.row_span(slot));
 
   // Candidate generation: live references sharing a band bucket, scored by
   // estimated Jaccard (sorted by slot — deterministic for any shard count).
@@ -207,7 +213,7 @@ std::vector<uint32_t> IncrementalCover::Insert(
   std::vector<LooseCandidate> loose;
   for (uint32_t other : collisions) {
     const double estimate = blocking::MinHasher::EstimateJaccard(
-        signatures_[slot], signatures_[other]);
+        signatures_.row_span(slot), signatures_.row_span(other));
     if (estimate >= options_.loose) loose.push_back({other, estimate});
   }
 

@@ -3,14 +3,17 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "blocking/lsh_index.h"
 #include "blocking/minhash.h"
+#include "blocking/minhash_simd.h"
 #include "core/cover.h"
 #include "data/dataset.h"
 #include "util/execution_context.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace cem::stream {
@@ -68,8 +71,9 @@ struct IngestStats {
 struct IncrementalCoverState {
   /// slot -> reference id, in arrival order.
   std::vector<data::EntityId> slots;
-  /// slot -> MinHash signature.
-  std::vector<std::vector<uint64_t>> signatures;
+  /// slot -> MinHash signature: one row per slot (num_docs() ==
+  /// slots.size()), num_hashes components each.
+  blocking::SignatureMatrix signatures;
   /// slot -> seeded neighborhood id, or IncrementalCover::kNoSeed.
   std::vector<uint32_t> seed_neighborhoods;
   /// Neighborhood id -> sorted member entities.
@@ -150,24 +154,24 @@ class IncrementalCover {
   const IngestStats& stats() const { return stats_; }
   const IncrementalCoverOptions& options() const { return options_; }
 
-  /// MinHash signature of `ref`'s blocking tokens, read from the dataset's
-  /// blocking substrate (data::Dataset::BlockingTokens). Pure (no state
-  /// change): batch ingest computes signatures for a whole chunk in
-  /// parallel before the serial inserts.
-  std::vector<uint64_t> ComputeSignature(data::EntityId ref) const;
+  /// Signature length: the components of one signature row.
+  uint32_t num_hashes() const { return hasher_.num_hashes(); }
 
-  /// Inserts a live reference with a precomputed signature and patches the
+  /// Writes the MinHash signature of `ref`'s blocking tokens, read from the
+  /// dataset's blocking substrate (data::Dataset::BlockingTokens), into
+  /// `out` (num_hashes() components). Pure (no state change): batch ingest
+  /// signs a whole chunk in parallel before the serial inserts, and
+  /// serving signs cold queries with it.
+  void ComputeSignature(data::EntityId ref, uint64_t* out) const;
+
+  /// Inserts a live reference with a precomputed signature (num_hashes()
+  /// components, copied into the reference's slot row) and patches the
   /// affected neighborhoods. `ref` must be an author reference of the
   /// dataset, not yet live. Returns the ids of the neighborhoods whose
   /// membership changed (sorted, unique; includes a newly created
   /// neighborhood, if any) — the dirty set re-matching must re-enqueue.
   std::vector<uint32_t> Insert(data::EntityId ref,
-                               std::vector<uint64_t> signature);
-
-  /// Convenience: computes the signature inline.
-  std::vector<uint32_t> Insert(data::EntityId ref) {
-    return Insert(ref, ComputeSignature(ref));
-  }
+                               std::span<const uint64_t> signature);
 
   // --- serialization support (persist/) ------------------------------------
   // Const views of the complete mutable state, in declaration order of the
@@ -179,9 +183,11 @@ class IncrementalCover {
   /// reference.
   const std::vector<data::EntityId>& slots() const { return slots_; }
 
-  /// slot -> MinHash signature (what ComputeSignature returned at insert).
-  const std::vector<std::vector<uint64_t>>& signatures() const {
-    return signatures_;
+  /// The MinHash signature row of live slot `slot` (what ComputeSignature
+  /// wrote for its reference at insert).
+  std::span<const uint64_t> signature(uint32_t slot) const {
+    CEM_DCHECK(slot < num_live());
+    return signatures_.row_span(slot);
   }
 
   /// slot -> id of the neighborhood it seeds, or kNoSeed.
@@ -233,8 +239,11 @@ class IncrementalCover {
   /// slot -> reference id, in arrival order.
   std::vector<data::EntityId> slots_;
   std::unordered_map<data::EntityId, uint32_t> slot_of_;
-  /// slot -> MinHash signature.
-  std::vector<std::vector<uint64_t>> signatures_;
+  /// slot -> MinHash signature row. Sized once, uninitialised, to the
+  /// dataset's author-reference count — the most slots that can ever be
+  /// live — so Insert() never reallocates and rows not yet inserted cost
+  /// no resident memory. Rows [0, num_live()) are valid.
+  blocking::SignatureMatrix signatures_;
   /// slot -> id of the neighborhood it seeds, or kNoSeed.
   std::vector<uint32_t> seed_neighborhood_;
   IngestStats stats_;

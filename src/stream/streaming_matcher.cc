@@ -32,27 +32,22 @@ StreamingMatcher::StreamingMatcher(const core::Matcher& matcher,
       engine_(matcher, icover_.cover(), icover_.full_membership(),
               core::MessageMode::kNone) {}
 
-void StreamingMatcher::Add(data::EntityId ref) {
-  const std::vector<uint32_t> dirty = icover_.Insert(ref);
-  for (uint32_t n : dirty) engine_.Activate(n);
-  RecordInsert(dirty.size());
-  Drain();
-  MaybePublishMetrics();
-}
+void StreamingMatcher::Add(data::EntityId ref) { AddBatch({ref}); }
 
 void StreamingMatcher::AddBatch(const std::vector<data::EntityId>& refs) {
-  // Parallel phase: signatures of the whole chunk (references are
-  // independent, so the result does not depend on the thread count).
+  // Parallel phase: the whole chunk signed into the rows of one matrix
+  // (references are independent, so the result does not depend on the
+  // thread count).
   const ExecutionContext& ctx = Resolve(options_);
-  std::vector<std::vector<uint64_t>> signatures(refs.size());
+  blocking::SignatureMatrix signatures(refs.size(), icover_.num_hashes());
   ParallelFor(ctx.pool(), refs.size(), [&](size_t i) {
-    signatures[i] = icover_.ComputeSignature(refs[i]);
+    icover_.ComputeSignature(refs[i], signatures.row(i));
   });
   // Serial phase: index/cover updates replay in `refs` order, so the
   // result is bit-identical to one-at-a-time ingest of the same order.
   for (size_t i = 0; i < refs.size(); ++i) {
     const std::vector<uint32_t> dirty =
-        icover_.Insert(refs[i], std::move(signatures[i]));
+        icover_.Insert(refs[i], signatures.row_span(i));
     for (uint32_t n : dirty) engine_.Activate(n);
     RecordInsert(dirty.size());
   }

@@ -122,13 +122,13 @@ class StreamingMatcher {
   explicit StreamingMatcher(const core::Matcher& matcher,
                             const StreamingOptions& options = {});
 
-  /// Ingests one reference and re-matches to convergence.
+  /// Ingests one reference and re-matches to convergence: AddBatch({ref}).
   void Add(data::EntityId ref);
 
   /// Ingests a chunk: signatures are computed in parallel on the execution
   /// context's pool, the index/cover updates apply serially in `refs`
   /// order, and one convergence drain runs at the end — same final state
-  /// as Add() per element (order-invariance of the fixpoint), much less
+  /// as one-element chunks (order-invariance of the fixpoint), much less
   /// re-matching.
   void AddBatch(const std::vector<data::EntityId>& refs);
 

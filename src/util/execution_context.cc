@@ -26,24 +26,12 @@ uint32_t ResolveShards(uint32_t num_shards, uint32_t num_threads) {
   return std::clamp(4 * num_threads, 1u, 256u);
 }
 
-/// Token-index shards: CEM_TOKEN_SHARDS when set, else the same resolution
-/// as the LSH bucket shards (one knob tunes both by default).
-uint32_t ResolveTokenShards(uint32_t num_shards, uint32_t num_threads) {
-  const uint32_t env = EnvCount("CEM_TOKEN_SHARDS");
-  if (num_shards == 0 && env > 0) return ResolveShards(env, num_threads);
-  return ResolveShards(num_shards > 0 ? num_shards
-                                      : EnvCount("CEM_LSH_SHARDS"),
-                       num_threads);
-}
-
 }  // namespace
 
 ExecutionContext::ExecutionContext()
     : pool_(&SharedThreadPool()),
       num_shards_(ResolveShards(EnvCount("CEM_LSH_SHARDS"),
                                 static_cast<uint32_t>(pool_->num_threads()))),
-      num_token_shards_(ResolveTokenShards(
-          0, static_cast<uint32_t>(pool_->num_threads()))),
       seed_(kDefaultSeed) {}
 
 ExecutionContext::ExecutionContext(uint32_t num_threads, uint32_t num_shards,
@@ -53,8 +41,6 @@ ExecutionContext::ExecutionContext(uint32_t num_threads, uint32_t num_shards,
       num_shards_(ResolveShards(
           num_shards > 0 ? num_shards : EnvCount("CEM_LSH_SHARDS"),
           static_cast<uint32_t>(pool_->num_threads()))),
-      num_token_shards_(ResolveTokenShards(
-          num_shards, static_cast<uint32_t>(pool_->num_threads()))),
       seed_(seed) {}
 
 const ExecutionContext& ExecutionContext::Default() {

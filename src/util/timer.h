@@ -26,36 +26,6 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// RAII companion to Timer: invokes `callback(ctx, elapsed_ms)` when it
-/// leaves scope. The callback is a plain function pointer + context (no
-/// std::function allocation), so a scoped measurement costs two clock reads
-/// and an indirect call — cheap enough for the obs::TraceSpan stage spans
-/// and the per-section bench timers built on top of it.
-class ScopedTimer {
- public:
-  using Callback = void (*)(void* ctx, double elapsed_ms);
-
-  ScopedTimer(Callback callback, void* ctx)
-      : callback_(callback), ctx_(ctx) {}
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() {
-    if (callback_ != nullptr) callback_(ctx_, timer_.ElapsedMillis());
-  }
-
-  /// Drops the callback: nothing fires at scope exit.
-  void Cancel() { callback_ = nullptr; }
-
-  double ElapsedMillis() const { return timer_.ElapsedMillis(); }
-
- private:
-  Timer timer_;
-  Callback callback_;
-  void* ctx_;
-};
-
 }  // namespace cem
 
 #endif  // CEM_UTIL_TIMER_H_

@@ -14,6 +14,7 @@
 
 #include "blocking/lsh_index.h"
 #include "blocking/minhash.h"
+#include "blocking/minhash_simd.h"
 #include "util/execution_context.h"
 #include "util/random.h"
 
@@ -24,6 +25,18 @@ using blocking::LshIndex;
 using blocking::LshParams;
 using blocking::MinHasher;
 using blocking::MinHashOptions;
+
+/// Copies per-document signatures into the row layout bulk insertion
+/// takes.
+blocking::SignatureMatrix ToRows(
+    const std::vector<std::vector<uint64_t>>& signatures,
+    uint32_t num_hashes) {
+  blocking::SignatureMatrix rows(signatures.size(), num_hashes);
+  for (size_t doc = 0; doc < signatures.size(); ++doc) {
+    std::copy(signatures[doc].begin(), signatures[doc].end(), rows.row(doc));
+  }
+  return rows;
+}
 
 std::vector<std::string> Tokens(int start, int count) {
   std::vector<std::string> out;
@@ -227,7 +240,7 @@ TEST(LshIndex, ParallelBulkAddMatchesSerialAdds) {
     for (uint32_t shards : {1u, 8u}) {
       ExecutionContext ctx(threads, shards);
       LshIndex bulk(params, hasher.num_hashes(), shards);
-      bulk.AddDocuments(signatures, ctx);
+      bulk.AddDocuments(ToRows(signatures, hasher.num_hashes()), ctx);
       EXPECT_EQ(bulk.num_documents(), serial.num_documents());
       EXPECT_EQ(bulk.num_buckets(), serial.num_buckets());
       EXPECT_EQ(bulk.TotalBucketPairs(), serial.TotalBucketPairs());
@@ -337,7 +350,7 @@ TEST(LshIndex, ChainedBucketsMatchMapOracle) {
     }
     ExecutionContext ctx(4, shards);
     LshIndex bulk(params, kNumHashes, shards);
-    bulk.AddDocuments(signatures, ctx);
+    bulk.AddDocuments(ToRows(signatures, kNumHashes), ctx);
 
     for (const LshIndex* index : {&incremental, &bulk}) {
       const std::string label = std::to_string(shards) + " shards, " +
@@ -384,7 +397,7 @@ TEST(LshIndex, SavedBucketsCheckAcrossShardCountsAndCatchTampering) {
       RandomSignatures(300, kNumHashes, 7);
   ExecutionContext ctx(2, 4);
   LshIndex index(params, kNumHashes, 4);
-  index.AddDocuments(signatures, ctx);
+  index.AddDocuments(ToRows(signatures, kNumHashes), ctx);
   const BucketOracle buckets = WalkedBuckets(index);
   // Bucket contents do not depend on the shard count: files saved for any
   // shard count check out.

@@ -259,10 +259,11 @@ void ExpectSubstrateMatchesOracle(const data::Dataset& dataset,
 
   const stream::IncrementalCover icover(dataset, {}, ctx);
   const blocking::MinHasher hasher(icover.options().minhash);
+  std::vector<uint64_t> signature(icover.num_hashes());
   for (data::EntityId ref : dataset.author_refs()) {
-    EXPECT_EQ(icover.ComputeSignature(ref),
-              hasher.Signature(
-                  blocking::AuthorBlockingTokens(dataset.entity(ref))))
+    icover.ComputeSignature(ref, signature.data());
+    EXPECT_EQ(signature, hasher.Signature(blocking::AuthorBlockingTokens(
+                             dataset.entity(ref))))
         << label << ", ref " << ref;
   }
 }
@@ -313,7 +314,7 @@ TEST_P(CoverDeterminism, TokenIndexIdenticalAcrossThreadAndShardCounts) {
   for (uint32_t threads : ThreadCounts()) {
     for (uint32_t shards : {1u, 4u, 32u}) {
       ExecutionContext ctx(threads, shards);
-      text::TokenIndex index(ctx.num_token_shards());
+      text::TokenIndex index(ctx.num_shards());
       index.AddDocuments(
           text::TokenCorpus::Build(
               token_sets.size(),

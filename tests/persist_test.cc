@@ -88,9 +88,12 @@ void ExpectSameState(const StreamingMatcher& a, const StreamingMatcher& b,
   EXPECT_EQ(a.incremental_cover().seed_neighborhoods(),
             b.incremental_cover().seed_neighborhoods())
       << label;
-  EXPECT_EQ(a.incremental_cover().signatures(),
-            b.incremental_cover().signatures())
-      << label;
+  ASSERT_EQ(a.num_live(), b.num_live()) << label;
+  for (uint32_t slot = 0; slot < a.num_live(); ++slot) {
+    EXPECT_TRUE(std::ranges::equal(a.incremental_cover().signature(slot),
+                                   b.incremental_cover().signature(slot)))
+        << label << ", slot " << slot;
+  }
   EXPECT_TRUE(a.stats() == b.stats()) << label;
   EXPECT_EQ(a.incremental_cover().core_membership().SortedEntries(),
             b.incremental_cover().core_membership().SortedEntries())
@@ -112,7 +115,11 @@ stream::StreamingMatcherState StateOf(const StreamingMatcher& matcher) {
   const stream::IncrementalCover& cover = matcher.incremental_cover();
   stream::StreamingMatcherState state;
   state.cover.slots = cover.slots();
-  state.cover.signatures = cover.signatures();
+  state.cover.signatures =
+      blocking::SignatureMatrix(cover.num_live(), cover.num_hashes());
+  for (uint32_t slot = 0; slot < cover.num_live(); ++slot) {
+    std::ranges::copy(cover.signature(slot), state.cover.signatures.row(slot));
+  }
   state.cover.seed_neighborhoods = cover.seed_neighborhoods();
   state.cover.neighborhoods = CoverNeighborhoods(matcher);
   state.cover.core_entries = cover.core_membership().SortedEntries();
@@ -281,10 +288,11 @@ TEST(SerializationAccessors, EnumerateExactlyTheObservableStreamState) {
     EXPECT_TRUE(streaming.is_live(ref));
   }
 
-  // signatures() holds exactly ComputeSignature of each slot's reference.
-  ASSERT_EQ(cover.signatures().size(), refs.size());
-  for (size_t slot = 0; slot < refs.size(); ++slot) {
-    EXPECT_EQ(cover.signatures()[slot], cover.ComputeSignature(refs[slot]))
+  // signature(slot) holds exactly ComputeSignature of the slot's reference.
+  std::vector<uint64_t> expected(cover.num_hashes());
+  for (uint32_t slot = 0; slot < refs.size(); ++slot) {
+    cover.ComputeSignature(refs[slot], expected.data());
+    EXPECT_TRUE(std::ranges::equal(cover.signature(slot), expected))
         << "slot " << slot;
   }
 
@@ -536,6 +544,7 @@ TEST(SnapshotRobustness, RestoreRejectsStructurallyInconsistentState) {
   const size_t half = (refs.size() / 2 / 16) * 16;
   StreamingMatcher original(matcher);
   FeedChunks(original, {refs.begin(), refs.begin() + half}, 16);
+  // States own a move-only signature matrix: each use takes a fresh one.
   const stream::StreamingMatcherState good = StateOf(original);
   const uint32_t num_neighborhoods =
       static_cast<uint32_t>(good.cover.neighborhoods.size());
@@ -546,7 +555,7 @@ TEST(SnapshotRobustness, RestoreRejectsStructurallyInconsistentState) {
   // Control: the untampered image restores and resumes bit-identically.
   {
     StreamingMatcher restored(matcher);
-    ASSERT_TRUE(restored.RestoreState(good).ok());
+    ASSERT_TRUE(restored.RestoreState(StateOf(original)).ok());
     StreamingMatcher uninterrupted(matcher);
     FeedChunks(uninterrupted, refs, 16);
     FeedChunks(restored, {refs.begin() + half, refs.end()}, 16);
@@ -608,7 +617,7 @@ TEST(SnapshotRobustness, RestoreRejectsStructurallyInconsistentState) {
        }},
   };
   for (const auto& [name, tamper] : cases) {
-    stream::StreamingMatcherState bad = good;
+    stream::StreamingMatcherState bad = StateOf(original);
     tamper(bad);
     StreamingMatcher victim(matcher);
     const Status status = victim.RestoreState(std::move(bad));
@@ -658,6 +667,49 @@ TEST(SnapshotRobustness, OutOfRangeHomeInCoverBinIsRejected) {
   const Status status = persist::LoadSnapshot(snap, victim);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
       << status.message();
+}
+
+TEST(SnapshotRobustness, SignatureLengthDisagreeingWithHasherIsRejected) {
+  // A CRC-valid sig_0.bin written by a hasher with half the signature
+  // length: self-consistent bytes, but rows of the wrong width. The load
+  // must refuse it against the configured hasher, not misalign rows.
+  const auto dataset = MakeSmallBib(813);
+  const mln::MlnMatcher matcher(*dataset);
+  const std::vector<data::EntityId> refs = ShuffledRefs(*dataset, 17);
+  StreamingMatcher original(matcher);
+  FeedChunks(original, {refs.begin(), refs.begin() + refs.size() / 2}, 16);
+  const std::string dir = ScratchDir("bad_sig_width");
+  ASSERT_TRUE(persist::SaveSnapshot(dir, original).ok());
+  const std::string snap = persist::ListSnapshots(dir)[0].path;
+
+  const stream::IncrementalCover& cover = original.incremental_cover();
+  const uint32_t num_shards =
+      static_cast<uint32_t>(cover.lsh_index().num_shards());
+  const uint32_t short_hashes = cover.num_hashes() / 2;
+  io::Buffer out;
+  out.PutU8(static_cast<uint8_t>(persist::Section::kSignatures));
+  out.PutU32(0);  // shard
+  out.PutU32(num_shards);
+  out.PutU32(short_hashes);
+  uint64_t count = 0;
+  for (uint32_t slot = 0; slot < cover.num_live(); slot += num_shards) {
+    ++count;
+  }
+  out.PutU64(count);
+  for (uint32_t slot = 0; slot < cover.num_live(); slot += num_shards) {
+    out.PutU32(slot);
+    for (uint32_t h = 0; h < short_hashes; ++h) {
+      out.PutU64(cover.signature(slot)[h]);
+    }
+  }
+  ASSERT_TRUE(io::WriteFramedFile(snap + "/sig_0.bin", persist::kSnapshotMagic,
+                                  persist::kSnapshotVersion, out.bytes())
+                  .ok());
+  StreamingMatcher victim(matcher);
+  const Status status = persist::LoadSnapshot(snap, victim);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+      << status.message();
+  EXPECT_EQ(victim.num_live(), 0u);
 }
 
 // --- WAL --------------------------------------------------------------------

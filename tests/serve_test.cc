@@ -183,13 +183,13 @@ TEST(MatchService, CandidatesMatchBruteForceLshProbe) {
     ASSERT_TRUE(answer.ok());
     // Brute force: a live slot is a candidate iff it shares a band key
     // with the query's signature (self excluded).
-    const std::vector<uint64_t> sig = icover.ComputeSignature(q);
+    std::vector<uint64_t> sig(icover.num_hashes());
+    icover.ComputeSignature(q, sig.data());
     const std::vector<uint64_t> q_keys = index.BandKeys(sig);
     std::vector<serve::CandidateScore> expected;
     for (uint32_t slot = 0; slot < icover.num_live(); ++slot) {
       if (icover.slots()[slot] == q) continue;
-      const std::vector<uint64_t> keys =
-          index.BandKeys(icover.signatures()[slot]);
+      const std::vector<uint64_t> keys = index.BandKeys(icover.signature(slot));
       bool shares = false;
       for (uint64_t key : keys) {
         for (uint64_t q_key : q_keys) shares = shares || key == q_key;
@@ -197,8 +197,7 @@ TEST(MatchService, CandidatesMatchBruteForceLshProbe) {
       if (!shares) continue;
       expected.push_back(
           {icover.slots()[slot],
-           blocking::MinHasher::EstimateJaccard(sig,
-                                                icover.signatures()[slot]),
+           blocking::MinHasher::EstimateJaccard(sig, icover.signature(slot)),
            false});
     }
     ASSERT_EQ(answer->candidates.size(), expected.size()) << "query " << q;

@@ -73,6 +73,14 @@ std::vector<uint64_t> LegacySignature(const std::vector<std::string>& tokens,
   return signature;
 }
 
+/// TokenRef slices carrying `hashes` — the kernel reads only the hash, so
+/// byte-less refs exercise it on arbitrary (adversarial) hash values.
+std::vector<text::TokenRef> RefsOf(const std::vector<uint64_t>& hashes) {
+  std::vector<text::TokenRef> refs(hashes.size());
+  for (size_t t = 0; t < hashes.size(); ++t) refs[t].hash = hashes[t];
+  return refs;
+}
+
 TEST(MinHashKernel, ScalarMatchesLegacyFormulaOnRandomHashes) {
   Rng rng(0x51u);
   for (int round = 0; round < 50; ++round) {
@@ -92,9 +100,8 @@ TEST(MinHashKernel, ScalarMatchesLegacyFormulaOnRandomHashes) {
     }
 
     std::vector<uint64_t> out(num_salts, 0);
-    blocking::simd::MinHashSignature(hashes.data(), num_tokens, salts.data(),
-                                     num_salts, out.data(),
-                                     SimdLevel::kScalar);
+    blocking::simd::MinHashSignatureRefs(RefsOf(hashes), salts, out.data(),
+                                         SimdLevel::kScalar);
     EXPECT_EQ(out, expected) << "round " << round;
   }
 }
@@ -103,8 +110,7 @@ TEST(MinHashKernel, EmptyTokenSetYieldsEmptySlots) {
   for (SimdLevel level : SupportedLevels()) {
     std::vector<uint64_t> salts = {1, 2, 3, 4, 5, 6, 7};
     std::vector<uint64_t> out(salts.size(), 0);
-    blocking::simd::MinHashSignature(nullptr, 0, salts.data(), salts.size(),
-                                     out.data(), level);
+    blocking::simd::MinHashSignatureRefs({}, salts, out.data(), level);
     for (uint64_t component : out) {
       EXPECT_EQ(component, MinHasher::kEmptySlot)
           << blocking::SimdLevelName(level);
@@ -134,14 +140,13 @@ TEST(MinHashKernel, Avx2MatchesScalarOnAdversarialSizes) {
         if (rng.NextBernoulli(0.3)) h |= 0x8000000000000000ULL;
       }
 
+      const std::vector<text::TokenRef> refs = RefsOf(hashes);
       std::vector<uint64_t> scalar(num_salts, 0);
       std::vector<uint64_t> avx2(num_salts, 0);
-      blocking::simd::MinHashSignature(hashes.data(), num_tokens, salts.data(),
-                                       num_salts, scalar.data(),
-                                       SimdLevel::kScalar);
-      blocking::simd::MinHashSignature(hashes.data(), num_tokens, salts.data(),
-                                       num_salts, avx2.data(),
-                                       SimdLevel::kAvx2);
+      blocking::simd::MinHashSignatureRefs(refs, salts, scalar.data(),
+                                           SimdLevel::kScalar);
+      blocking::simd::MinHashSignatureRefs(refs, salts, avx2.data(),
+                                           SimdLevel::kAvx2);
       EXPECT_EQ(avx2, scalar)
           << num_tokens << " tokens, " << num_salts << " salts";
     }
@@ -187,21 +192,6 @@ TEST(MinHasherEquivalence, SignatureMatchesLegacyStringImplementation) {
       EXPECT_EQ(hasher.Signature(tokens), LegacySignature(tokens, hasher.salts()))
           << blocking::SimdLevelName(level) << ", round " << round;
     }
-  }
-}
-
-TEST(MinHasherEquivalence, SignatureFromHashesMatchesStringSignature) {
-  const MinHasher hasher;
-  const std::vector<std::string> tokens = {"doe", "oes", "j|do", "doe"};
-  std::vector<uint64_t> hashes;
-  for (const std::string& token : tokens) hashes.push_back(Fnv1a64(token));
-  for (SimdLevel level : SupportedLevels()) {
-    ScopedSimdLevel scoped(level);
-    std::vector<uint64_t> from_hashes(hasher.num_hashes());
-    hasher.SignatureFromHashes(hashes.data(), hashes.size(),
-                               from_hashes.data());
-    EXPECT_EQ(from_hashes, hasher.Signature(tokens))
-        << blocking::SimdLevelName(level);
   }
 }
 

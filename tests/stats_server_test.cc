@@ -182,6 +182,53 @@ TEST(StatsServerSocket, ServesAllEndpointsOverLoopback) {
             std::string::npos);
 }
 
+TEST(StatsServerSocket, LongRequestHeadersDoNotResetTheResponse) {
+  // A scraper may send kilobytes of headers after the request line. The
+  // server must read them before closing: a close with unread request
+  // bytes makes the kernel send a reset, which can destroy the response
+  // in flight and surfaces as ECONNRESET instead of a clean EOF.
+  obs::MetricsRegistry::Global().counter("stats_test_long_headers").Add(1);
+  const auto server = StatsServer::Start(0);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  std::string request = "GET /metrics.json HTTP/1.0\r\n";
+  for (int i = 0; request.size() <= 4096; ++i) {
+    request += "X-Padding-" + std::to_string(i) + ": " +
+               std::string(60, 'a' + i % 26) + "\r\n";
+  }
+  request += "\r\n";
+  for (int round = 0; round < 20; ++round) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons((*server)->port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0)
+        << std::strerror(errno);
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    std::string response;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      response.append(buf, static_cast<size_t>(n));
+    }
+    const int recv_errno = n < 0 ? errno : 0;
+    ::close(fd);
+    EXPECT_EQ(n, 0) << "round " << round << ": " << std::strerror(recv_errno);
+    ASSERT_NE(response.find("HTTP/1.0 200"), std::string::npos)
+        << "round " << round;
+    const size_t length_at = response.find("Content-Length: ");
+    ASSERT_NE(length_at, std::string::npos);
+    const size_t declared =
+        std::stoul(response.substr(length_at + std::strlen("Content-Length: ")));
+    const std::string body = BodyOf(response);
+    EXPECT_EQ(body.size(), declared) << "round " << round;
+    EXPECT_NE(body.find("stats_test_long_headers"), std::string::npos);
+  }
+}
+
 TEST(StatsServerSocket, ScrapesStayWellFormedDuringConcurrentIngest) {
   // The TSAN target: a scraper hammers the live endpoints while the
   // service ingests chunks and a reader issues lookups — the wiring

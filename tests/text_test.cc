@@ -227,7 +227,7 @@ TEST(TokenIndexTest, AddDocumentsMatchesSerialInsertion) {
     serial.AddDocument(doc, docs[doc]);
   }
   ExecutionContext ctx(3, /*num_shards=*/5);
-  TokenIndex bulk(ctx.num_token_shards());
+  TokenIndex bulk(ctx.num_shards());
   bulk.AddDocuments(TokenCorpus::Build(
                         docs.size(),
                         [&](size_t doc, TokenCorpus::DocBuilder& builder) {

@@ -20,7 +20,6 @@
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/random.h"
-#include "util/timer.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/table_writer.h"
@@ -609,31 +608,6 @@ TEST(HashTest, IncrementalFnvMatchesOneShot) {
   EXPECT_EQ(h, Fnv1a64(text));
   EXPECT_EQ(Fnv1a64Append(kFnv1a64Seed, text), Fnv1a64(text));
   EXPECT_EQ(Fnv1a64(""), kFnv1a64Seed);
-}
-
-// ------------------------------------------------------------ ScopedTimer --
-
-TEST(ScopedTimerTest, FiresCallbackWithElapsedOnScopeExit) {
-  double recorded = -1.0;
-  {
-    ScopedTimer timer(
-        [](void* ctx, double elapsed_ms) {
-          *static_cast<double*>(ctx) = elapsed_ms;
-        },
-        &recorded);
-    EXPECT_GE(timer.ElapsedMillis(), 0.0);
-  }
-  EXPECT_GE(recorded, 0.0);
-}
-
-TEST(ScopedTimerTest, CancelSuppressesCallback) {
-  bool fired = false;
-  {
-    ScopedTimer timer(
-        [](void* ctx, double) { *static_cast<bool*>(ctx) = true; }, &fired);
-    timer.Cancel();
-  }
-  EXPECT_FALSE(fired);
 }
 
 }  // namespace
