@@ -240,12 +240,11 @@ int main() {
   report.Table("scaling", scaling_table);
   report.Metric("lsh_build_speedup_8t", lsh_speedup_8t);
 
-  // ---- Stage scaling: the two formerly-serial stages, plus the LSH index.
-  // Sharded TokenIndex construction and PatchPairCoverage were the last
-  // serial choke points of cover construction; both now run on the context
-  // pool with bit-identical output (and counters) for any thread count.
-  // The sharded LSH bucket index is built the same way, and its footprint
-  // is tracked as a counter.
+  // ---- Stage scaling: the token index build, the totality patch and the
+  // LSH bucket index. The token index is one serial CSR pass over the
+  // corpus, timed once; PatchPairCoverage and the sharded LSH bucket index
+  // run on the context pool with bit-identical output (and counters) for
+  // any thread count, and the LSH index footprint is tracked as a counter.
   std::printf("\nStage scaling (largest DBLP-like dataset):\n");
   TableWriter stage_table({"stage", "threads", "sec", "speedup", "identical"});
   size_t token_index_postings = 0;
@@ -253,41 +252,27 @@ int main() {
   size_t lsh_index_memory_bytes = 0;
   {
     // The dataset's blocking substrate build (what Dataset::Finalize runs):
-    // tokenize every author ref into a flat corpus, then sharded postings.
+    // tokenize every author ref into a flat corpus, then index it.
     const std::vector<data::EntityId>& refs = scaling_dataset->author_refs();
-    const auto build_index = [&](const ExecutionContext& ctx) {
-      text::TokenIndex index(ctx.num_shards());
-      index.AddDocuments(
-          text::TokenCorpus::Build(
-              refs.size(),
-              [&](size_t i, text::TokenCorpus::DocBuilder& builder) {
-                blocking::AppendAuthorBlockingTokens(
-                    scaling_dataset->entity(refs[i]), builder);
-              },
-              ctx),
-          ctx);
-      return index;
-    };
+    text::TokenCorpus corpus = text::TokenCorpus::Build(
+        refs.size(),
+        [&](size_t i, text::TokenCorpus::DocBuilder& builder) {
+          blocking::AppendAuthorBlockingTokens(
+              scaling_dataset->entity(refs[i]), builder);
+        },
+        ExecutionContext::Default());
     const text::TokenIndex& reference_index =
         scaling_dataset->blocking_index();
-    double index_base_seconds = 0.0;
-    for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
-      ExecutionContext ctx(threads);
-      Timer timer;
-      const text::TokenIndex index = build_index(ctx);
-      const double seconds = timer.ElapsedSeconds();
-      if (threads == 1) index_base_seconds = seconds;
-      const bool identical =
-          index.num_tokens() == reference_index.num_tokens() &&
-          index.num_postings() == reference_index.num_postings();
-      CEM_CHECK(identical) << "token index changed at " << threads
-                           << " threads";
-      token_index_postings = index.num_postings();
-      stage_table.AddRow({"token index build", std::to_string(threads),
-                          bench::Secs(seconds),
-                          TableWriter::Num(index_base_seconds / seconds, 2),
-                          identical ? "yes" : "NO"});
-    }
+    Timer timer;
+    const text::TokenIndex index(std::move(corpus));
+    const double seconds = timer.ElapsedSeconds();
+    const bool identical =
+        index.num_tokens() == reference_index.num_tokens() &&
+        index.num_postings() == reference_index.num_postings();
+    CEM_CHECK(identical) << "token index differs from the dataset substrate";
+    token_index_postings = index.num_postings();
+    stage_table.AddRow({"token index build", "1", bench::Secs(seconds),
+                        TableWriter::Num(1.0, 2), identical ? "yes" : "NO"});
 
     // Patch the raw LSH cover (raw covers leave the most split pairs).
     blocking::LshCoverOptions raw_options;

@@ -195,10 +195,10 @@ int main() {
 
   // --- tokenize -------------------------------------------------------------
   // The legacy side is the full historical tokenise path: AuthorBlockingTokens
-  // heap vectors plus the per-document sort+unique normalisation that
-  // TokenIndex::AddDocument applied to every token set. The arena corpus
-  // does the same normalisation (and additionally FNV-hashes every token
-  // once) at build time.
+  // heap vectors plus the per-document sort+unique normalisation the token
+  // index once applied to every string token set. The arena corpus does the
+  // same normalisation (and additionally FNV-hashes every token once) at
+  // build time.
   constexpr int kTokenizeReps = 5;
   std::vector<std::vector<std::string>> legacy_tokens;
   const double legacy_tokenize_s = TimeBest(kTokenizeReps, [&] {

@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "blocking/blocking_tokens.h"
 #include "blocking/lsh_cover.h"
 #include "blocking/minhash.h"
 #include "core/canopy.h"
@@ -67,12 +66,7 @@ BENCHMARK(BM_CanopyCover);
 void BM_TokenIndexCandidates(benchmark::State& state) {
   SetMinLogSeverity(LogSeverity::kWarning);
   auto dataset = data::GenerateBibDataset(data::BibConfig::DblpLike(0.3));
-  const auto& refs = dataset->author_refs();
-  text::TokenIndex index;
-  for (size_t i = 0; i < refs.size(); ++i) {
-    index.AddDocument(static_cast<uint32_t>(i),
-                      blocking::AuthorBlockingTokens(dataset->entity(refs[i])));
-  }
+  const text::TokenIndex& index = dataset->blocking_index();
   uint32_t doc = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(index.Candidates(doc, 0.45));

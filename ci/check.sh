@@ -169,6 +169,22 @@ mkdir -p "${OBS_DIR}"
 "${BUILD_DIR}/bench_diff" --check-metrics "${OBS_DIR}/metrics.json"
 "${BUILD_DIR}/bench_diff" --check-trace "${OBS_DIR}/trace.json"
 
+echo "== malformed TSV inputs (dedup_tool --input)"
+# Each committed malformed corpus must be refused with a load error and
+# exit status 1, never an abort.
+for tsv in tsv_non_numeric_id tsv_authored_by_paper tsv_cites_from_author; do
+  status=0
+  "${BUILD_DIR}/dedup_tool" --input "${REPO_ROOT}/tests/data/${tsv}.tsv" \
+    > /dev/null 2> "${OBS_DIR}/${tsv}.err" || status=$?
+  if [[ "${status}" -ne 1 ]] || \
+    ! grep -q "failed to load" "${OBS_DIR}/${tsv}.err"; then
+    echo "error: dedup_tool --input ${tsv}.tsv exited ${status}:" >&2
+    cat "${OBS_DIR}/${tsv}.err" >&2
+    exit 1
+  fi
+  echo "-- ${tsv}.tsv: $(cat "${OBS_DIR}/${tsv}.err")"
+done
+
 echo "== live stats endpoint (dedup_tool --serve --stats-port)"
 # Boot a served ingest with the stats listener on an ephemeral port,
 # scrape every endpoint over loopback (bash /dev/tcp — no curl

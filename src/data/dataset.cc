@@ -78,8 +78,8 @@ void Dataset::Finalize(const ExecutionContext& ctx) {
   cites_.Finalize();
 
   // The blocking substrate: tokens are emitted straight into a flat arena
-  // corpus (hashed once at emit time), then the postings build runs on ctx
-  // with each worker owning whole token shards.
+  // corpus (hashed once at emit time) on ctx, then indexed into flat CSR
+  // postings in one serial pass.
   text::TokenCorpus corpus;
   {
     CEM_TRACE("blocking/tokenize");
@@ -93,8 +93,7 @@ void Dataset::Finalize(const ExecutionContext& ctx) {
   }
   {
     CEM_TRACE("blocking/token_index_build");
-    blocking_index_ = text::TokenIndex(ctx.num_shards());
-    blocking_index_.AddDocuments(std::move(corpus), ctx);
+    blocking_index_ = text::TokenIndex(std::move(corpus));
   }
   static obs::Counter& postings_counter =
       obs::MetricsRegistry::Global().counter("blocking_token_postings");
@@ -120,16 +119,17 @@ void Dataset::BuildCandidatePairs(const CandidateOptions& options,
   const size_t n = author_refs_.size();
 
   // Blocking prefilter over the substrate's trigram postings, then exact
-  // name similarity. Each reference scores its candidates with larger doc
-  // ids in parallel; per-reference result slots keep the merge
-  // order-independent, and the sort in FinalizeCandidatePairs makes the
-  // final index identical for any thread count either way.
+  // name similarity. Each reference scores only its candidates with larger
+  // doc ids (the postings scan starts past i), in parallel; per-reference
+  // result slots keep the merge order-independent, and the sort in
+  // FinalizeCandidatePairs makes the final index identical for any thread
+  // count either way.
   std::vector<std::vector<CandidatePair>> found(n);
   ParallelFor(ctx.pool(), n, [&](size_t i) {
+    const uint32_t doc = static_cast<uint32_t>(i);
     const Entity& a = entities_[author_refs_[i]];
     for (const text::TokenIndex::Neighbor& cand : blocking_index_.Candidates(
-             static_cast<uint32_t>(i), options.min_ngram_overlap)) {
-      if (cand.doc_id <= i) continue;
+             doc, options.min_ngram_overlap, nullptr, doc + 1)) {
       const Entity& b = entities_[author_refs_[cand.doc_id]];
       const text::SimilarityLevel level = text::NameSimilarityLevel(
           a.first_name, a.last_name, b.first_name, b.last_name,

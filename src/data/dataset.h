@@ -75,7 +75,7 @@ class Dataset {
   /// Computes the candidate-pair index over author references: trigram
   /// postings scans of the blocking substrate followed by exact name
   /// similarity. Scoring runs in parallel on `ctx`; the result is sorted
-  /// and deduplicated, so it is identical for any thread/shard count.
+  /// and deduplicated, so it is identical for any thread count.
   /// Requires Finalize().
   void BuildCandidatePairs(
       const CandidateOptions& options = {},
@@ -102,11 +102,11 @@ class Dataset {
 
   /// The dataset's one blocking substrate, built once by Finalize(): the
   /// blocking::AppendAuthorBlockingTokens corpus of every author reference
-  /// and its sharded trigram index, doc id = position in author_refs().
+  /// and its flat trigram index, doc id = position in author_refs().
   /// Candidate pairs, both batch cover builders, the incremental cover and
   /// serving all read it, so they agree on what "nearby" means and nothing
   /// tokenizes a reference twice. Query results and counts are identical
-  /// for any thread/shard count Finalize() ran on.
+  /// for any thread count Finalize() ran on.
   const text::TokenIndex& blocking_index() const { return blocking_index_; }
 
   /// The normalised blocking tokens of author reference `ref`.

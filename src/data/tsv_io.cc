@@ -1,7 +1,9 @@
 #include "data/tsv_io.h"
 
+#include <charconv>
 #include <fstream>
-#include <sstream>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "util/string_util.h"
@@ -14,6 +16,17 @@ constexpr char kAuthorTag[] = "A";
 constexpr char kPaperTag[] = "P";
 constexpr char kAuthoredTag[] = "W";  // "wrote"
 constexpr char kCitesTag[] = "C";
+
+// All of `field` as a base-10 number of type T; nullopt when it is not one
+// or does not fit T.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view field) {
+  T value{};
+  const char* const end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 }  // namespace
 
@@ -49,58 +62,72 @@ Result<std::unique_ptr<Dataset>> LoadDatasetTsv(const std::string& path) {
   std::ifstream in(path);
   if (!in) return InvalidArgumentError("cannot open for reading: " + path);
   auto dataset = std::make_unique<Dataset>();
+  auto bad = [&path](size_t line_no, const std::string& why) {
+    return InvalidArgumentError(path + ":" + std::to_string(line_no) + ": " +
+                                why);
+  };
   // Entity ids in the file must be dense and in insertion order; we verify.
   std::string line;
   size_t line_no = 0;
   // Relation tuples are buffered until all entities exist.
-  std::vector<std::pair<EntityId, EntityId>> authored_tuples;
-  std::vector<std::pair<EntityId, EntityId>> cites_tuples;
+  struct Tuple {
+    EntityId from;
+    EntityId to;
+    size_t line_no;
+  };
+  std::vector<Tuple> authored_tuples;
+  std::vector<Tuple> cites_tuples;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
     const std::vector<std::string> fields = Split(line, '\t');
-    auto bad = [&](const std::string& why) {
-      return InvalidArgumentError(path + ":" + std::to_string(line_no) +
-                                  ": " + why);
-    };
-    if (fields[0] == kAuthorTag) {
-      if (fields.size() != 5) return bad("author record needs 5 fields");
-      const EntityId id = dataset->AddAuthorRef(
-          fields[2], fields[3],
-          static_cast<uint32_t>(std::stoll(fields[4])));
-      if (id != static_cast<EntityId>(std::stoul(fields[1]))) {
-        return bad("non-dense entity id");
+    if (fields[0] == kAuthorTag || fields[0] == kPaperTag) {
+      const bool author = fields[0] == kAuthorTag;
+      if (fields.size() != 5) {
+        return bad(line_no, std::string(author ? "author" : "paper") +
+                                " record needs 5 fields");
       }
-    } else if (fields[0] == kPaperTag) {
-      if (fields.size() != 5) return bad("paper record needs 5 fields");
-      const EntityId id = dataset->AddPaper(
-          fields[2], std::stoi(fields[3]),
-          static_cast<uint32_t>(std::stoll(fields[4])));
-      if (id != static_cast<EntityId>(std::stoul(fields[1]))) {
-        return bad("non-dense entity id");
+      const std::optional<EntityId> file_id = ParseNumber<EntityId>(fields[1]);
+      const std::optional<uint32_t> truth = ParseNumber<uint32_t>(fields[4]);
+      const std::optional<int> year =
+          author ? std::optional<int>(0) : ParseNumber<int>(fields[3]);
+      if (!file_id || !truth || !year) {
+        return bad(line_no, "bad number in record");
       }
-    } else if (fields[0] == kAuthoredTag) {
-      if (fields.size() != 3) return bad("authored record needs 3 fields");
-      authored_tuples.emplace_back(std::stoul(fields[1]),
-                                   std::stoul(fields[2]));
-    } else if (fields[0] == kCitesTag) {
-      if (fields.size() != 3) return bad("cites record needs 3 fields");
-      cites_tuples.emplace_back(std::stoul(fields[1]), std::stoul(fields[2]));
+      if (*file_id != dataset->num_entities()) {
+        return bad(line_no, "non-dense entity id");
+      }
+      if (author) {
+        dataset->AddAuthorRef(fields[2], fields[3], *truth);
+      } else {
+        dataset->AddPaper(fields[2], *year, *truth);
+      }
+    } else if (fields[0] == kAuthoredTag || fields[0] == kCitesTag) {
+      if (fields.size() != 3) return bad(line_no, "tuple needs 3 fields");
+      const std::optional<EntityId> from = ParseNumber<EntityId>(fields[1]);
+      const std::optional<EntityId> to = ParseNumber<EntityId>(fields[2]);
+      if (!from || !to) return bad(line_no, "bad entity id in tuple");
+      (fields[0] == kAuthoredTag ? authored_tuples : cites_tuples)
+          .push_back({*from, *to, line_no});
     } else {
-      return bad("unknown record tag '" + fields[0] + "'");
+      return bad(line_no, "unknown record tag '" + fields[0] + "'");
     }
   }
-  for (const auto& [ref, paper] : authored_tuples) {
-    if (ref >= dataset->num_entities() || paper >= dataset->num_entities()) {
-      return InvalidArgumentError(path + ": authored tuple out of range");
+  const auto is = [&](EntityId id, EntityType type) {
+    return id < dataset->num_entities() && dataset->entity(id).type == type;
+  };
+  for (const Tuple& t : authored_tuples) {
+    if (!is(t.from, EntityType::kAuthorRef) || !is(t.to, EntityType::kPaper)) {
+      return bad(t.line_no,
+                 "authored tuple must link an author ref to a paper");
     }
-    dataset->AddAuthored(ref, paper);
+    dataset->AddAuthored(t.from, t.to);
   }
-  for (const auto& [from, to] : cites_tuples) {
-    if (from >= dataset->num_entities() || to >= dataset->num_entities()) {
-      return InvalidArgumentError(path + ": cites tuple out of range");
+  for (const Tuple& t : cites_tuples) {
+    if (!is(t.from, EntityType::kPaper) || !is(t.to, EntityType::kPaper)) {
+      return bad(t.line_no, "cites tuple must link two papers");
     }
-    dataset->AddCites(from, to);
+    dataset->AddCites(t.from, t.to);
   }
   dataset->Finalize();
   return dataset;

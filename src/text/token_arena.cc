@@ -25,7 +25,7 @@ namespace {
 
 /// Sorts the open document's tokens lexicographically and drops duplicate
 /// strings — the canonical per-document form (matches the historical
-/// TokenIndex normalisation, so overlap counts stay bit-identical).
+/// string token-set normalisation, so overlap counts stay bit-identical).
 void FinishDoc(TokenChunk& chunk) {
   const auto begin = chunk.tokens.begin() + chunk.doc_begin.back();
   const auto end = chunk.tokens.end();

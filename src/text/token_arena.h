@@ -17,7 +17,7 @@ namespace cem::text {
 
 /// One token of one document: a slice of the corpus arena plus the
 /// precomputed FNV-1a base hash every downstream consumer (MinHash
-/// salting, postings sharding, hashed Jaccard) reuses instead of
+/// salting, postings interning, hashed Jaccard) reuses instead of
 /// re-walking the bytes.
 struct TokenRef {
   const char* data = nullptr;
@@ -35,7 +35,7 @@ struct TokenChunk;
 /// replacement for `std::vector<std::vector<std::string>>` token sets.
 /// Token bytes live contiguously in per-chunk arenas; each document is a
 /// span of TokenRef slices, normalised (lower-cased at emit time, sorted,
-/// deduplicated) exactly like text::TokenIndex's historical per-document
+/// deduplicated) exactly like the historical string-vector per-document
 /// form, so postings overlap counts and MinHash signatures are
 /// bit-identical to the string-vector layout they replace.
 ///

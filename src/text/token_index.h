@@ -4,13 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "text/token_arena.h"
-#include "util/execution_context.h"
 
 namespace cem::text {
 
@@ -19,42 +15,28 @@ namespace cem::text {
 /// neighbours of a document are the documents sharing at least one token,
 /// scored by overlap.
 ///
-/// Documents live in a flat arena-backed TokenCorpus (see token_arena.h):
-/// postings keys are (view, hash) slices into the corpus storage, so the
-/// index holds no per-token heap strings and lookups reuse each token's
-/// precomputed FNV hash instead of re-hashing bytes.
+/// Immutable and flat. The constructor takes a TokenCorpus (see
+/// token_arena.h), interns each distinct token by its (view, hash) into a
+/// dense token id, and stores two CSR (compressed sparse row) arrays:
+/// doc -> token ids, and token -> doc ids (the postings), the latter
+/// counting-sorted from the former so every postings list is in ascending
+/// doc order. No per-token heap lists, no hash maps after construction.
 ///
-/// Postings are partitioned into `num_shards` shards by token hash, so bulk
-/// insertion (AddDocuments) parallelises with each shard owned by exactly
-/// one worker — no locks — and concurrent read-only Candidates() calls are
-/// always safe. The shard count never changes what the index contains:
-/// postings membership, Candidates() and the `num_scored` counters are
-/// bit-identical for any shard count.
+/// Candidates() counts overlaps in a dense per-thread array indexed by doc
+/// id plus a list of the docs it touched, which it sorts and then zeroes,
+/// so concurrent read-only queries need no locks and allocate only their
+/// result.
 class TokenIndex {
  public:
-  /// `num_shards` partitions the token space (clamped to at least 1).
-  explicit TokenIndex(uint32_t num_shards = 1);
+  /// Indexes `corpus` (doc id = position in the corpus); the default is the
+  /// empty index.
+  explicit TokenIndex(TokenCorpus corpus = TokenCorpus());
 
-  /// Adds a document; `doc_id` must equal num_documents() — documents are
-  /// appended densely in increasing id order. Tokens are lower-cased;
-  /// duplicate tokens within a document are collapsed.
-  void AddDocument(uint32_t doc_id, const std::vector<std::string>& tokens);
-
-  /// Takes ownership of a pre-built corpus (the arena hot path — callers
-  /// tokenise straight into a TokenCorpus, no string vectors) and builds
-  /// postings over it in parallel on `ctx`, each shard inserting the
-  /// postings it owns in document order. The index must be empty.
-  /// Equivalent to calling AddDocument for each document in increasing id
-  /// order.
-  void AddDocuments(TokenCorpus corpus, const ExecutionContext& ctx);
-
-  /// Number of documents added.
+  /// Number of documents indexed.
   size_t num_documents() const { return corpus_.num_docs(); }
-  /// Alias of num_documents(): the corpus size as this index sees it, O(1),
-  /// mirroring blocking::LshIndex — callers should never have to infer it
-  /// from postings contents.
+  /// Alias of num_documents(), mirroring blocking::LshIndex.
   size_t size() const { return num_documents(); }
-  bool empty() const { return corpus_.num_docs() == 0; }
+  bool empty() const { return num_documents() == 0; }
 
   struct Neighbor {
     uint32_t doc_id;
@@ -62,26 +44,24 @@ class TokenIndex {
     double score;
   };
 
-  /// Returns documents sharing >= 1 token with `doc_id` whose overlap score
-  /// is at least `min_score`, excluding `doc_id` itself. Order is by doc id.
-  /// When `num_scored` is non-null it receives the number of distinct
-  /// documents scored (the blocking work done, before the min_score filter).
+  /// Returns documents with id >= `first_doc` sharing >= 1 token with
+  /// `doc_id` whose overlap score is at least `min_score`, excluding
+  /// `doc_id` itself. Order is by doc id. When `num_scored` is non-null it
+  /// receives the number of distinct documents scored (the blocking work
+  /// done, before the min_score filter); documents below `first_doc` are
+  /// neither scored nor counted.
   std::vector<Neighbor> Candidates(uint32_t doc_id, double min_score,
-                                   size_t* num_scored = nullptr) const;
+                                   size_t* num_scored = nullptr,
+                                   uint32_t first_doc = 0) const;
 
-  /// Tokens shared between index entry construction calls are interned; this
-  /// returns the number of distinct tokens seen.
-  size_t num_tokens() const;
+  /// Number of distinct tokens across the corpus.
+  size_t num_tokens() const { return postings_offsets_.size() - 1; }
 
-  /// Total postings entries (sum of postings-list lengths): the work the
-  /// index build does, independent of thread and shard count.
-  size_t num_postings() const;
+  /// Total postings entries (sum of postings-list lengths).
+  size_t num_postings() const { return postings_.size(); }
 
-  size_t num_shards() const { return shards_.size(); }
-
-  /// The normalised (lower-cased, sorted, unique) tokens of document `doc`
-  /// (one TokenRef per token, byte-identical to the historical
-  /// string-vector form). Postings are a pure function of these.
+  /// The normalised (lower-cased, sorted, unique) tokens of document `doc`.
+  /// Postings are a pure function of these.
   std::span<const TokenRef> doc_tokens(size_t doc) const {
     return corpus_.doc(doc);
   }
@@ -90,38 +70,14 @@ class TokenIndex {
   const TokenCorpus& corpus() const { return corpus_; }
 
  private:
-  /// Postings key: a token's corpus slice plus its precomputed hash, so
-  /// map operations never re-walk token bytes to hash them.
-  struct HashedToken {
-    std::string_view view;
-    uint64_t hash;
-    bool operator==(const HashedToken& other) const {
-      return view == other.view;
-    }
-  };
-  struct HashedTokenHash {
-    size_t operator()(const HashedToken& t) const { return t.hash; }
-  };
-  using PostingsMap =
-      std::unordered_map<HashedToken, std::vector<uint32_t>, HashedTokenHash>;
-
-  static HashedToken KeyOf(const TokenRef& ref) {
-    return {ref.view(), ref.hash};
-  }
-
-  /// Shard owning a token (by its precomputed FNV hash; the shard
-  /// assignment never leaks into any query result).
-  size_t ShardOf(const TokenRef& ref) const {
-    return ref.hash % shards_.size();
-  }
-
-  struct Shard {
-    /// Token -> member doc ids, in insertion (= doc id) order.
-    PostingsMap postings;
-  };
-
-  std::vector<Shard> shards_;
   TokenCorpus corpus_;
+  /// Doc d's token ids are doc_token_ids_[doc_offsets_[d], doc_offsets_[d+1]).
+  std::vector<uint32_t> doc_offsets_;
+  std::vector<uint32_t> doc_token_ids_;
+  /// Token t's docs are postings_[postings_offsets_[t],
+  /// postings_offsets_[t+1]), ascending.
+  std::vector<uint32_t> postings_offsets_;
+  std::vector<uint32_t> postings_;
 };
 
 }  // namespace cem::text

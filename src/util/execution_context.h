@@ -28,13 +28,13 @@ class ExecutionContext {
   static constexpr uint64_t kDefaultSeed = 7;
 
   /// Shared-pool context: runs on SharedThreadPool() (worker count from
-  /// CEM_THREADS, see thread_pool.h) with the shard count from
+  /// CEM_THREADS, see thread_pool.h) with the LSH bucket shard count from
   /// CEM_LSH_SHARDS (unset/0 = 4x the worker count, clamped to [1, 256]).
   ExecutionContext();
 
   /// Dedicated-pool context with `num_threads` workers (0 = hardware
-  /// concurrency) and `num_shards` shards (0 = CEM_LSH_SHARDS, else 4x
-  /// the worker count).
+  /// concurrency) and `num_shards` LSH bucket shards (0 = CEM_LSH_SHARDS,
+  /// else 4x the worker count).
   explicit ExecutionContext(uint32_t num_threads, uint32_t num_shards = 0,
                             uint64_t seed = kDefaultSeed);
 
@@ -51,8 +51,7 @@ class ExecutionContext {
   uint32_t num_threads() const {
     return static_cast<uint32_t>(pool_->num_threads());
   }
-  /// Shard count of every bucket- or token-partitioned structure (the LSH
-  /// index and text::TokenIndex), so tests sweep one knob.
+  /// Bucket shard count of blocking::LshIndex (batch and incremental).
   uint32_t num_shards() const { return num_shards_; }
   uint64_t seed() const { return seed_; }
 

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -131,31 +133,65 @@ TEST_P(CoverDeterminism, CandidatePairsIdenticalAcrossThreadCounts) {
 
 // ---- Substrate equivalence: every consumer of the dataset's one blocking
 // substrate (candidate pairs, both cover builders, the incremental cover's
-// signatures) must see exactly what a private build from the string oracle
-// (AuthorBlockingTokens -> TokenIndex::AddDocument / MinHasher::Signature)
-// would give it, for any thread and shard count.
+// signatures) must see exactly what the string oracle gives it, for any
+// thread and shard count. The oracle never touches text::TokenIndex: token
+// overlap is a brute-force pairwise intersection of the AuthorBlockingTokens
+// string sets, and signatures come from MinHasher::Signature.
 
-/// Serial single-shard index over the oracle token strings, doc id =
-/// position in author_refs().
-text::TokenIndex OracleIndex(const data::Dataset& dataset) {
-  text::TokenIndex index;
+/// The sorted, deduplicated AuthorBlockingTokens of every author ref, doc
+/// id = position in author_refs().
+std::vector<std::vector<std::string>> OracleTokenSets(
+    const data::Dataset& dataset) {
   const std::vector<data::EntityId>& refs = dataset.author_refs();
+  std::vector<std::vector<std::string>> sets(refs.size());
   for (size_t i = 0; i < refs.size(); ++i) {
-    index.AddDocument(static_cast<uint32_t>(i),
-                      blocking::AuthorBlockingTokens(dataset.entity(refs[i])));
+    sets[i] = blocking::AuthorBlockingTokens(dataset.entity(refs[i]));
+    std::sort(sets[i].begin(), sets[i].end());
+    sets[i].erase(std::unique(sets[i].begin(), sets[i].end()), sets[i].end());
   }
-  return index;
+  return sets;
 }
 
-/// Candidate pairs from full postings scans of the oracle index, sorted.
+/// Every doc's brute-force overlap neighbors: each other doc sharing >= 1
+/// token, in doc order, scored |a ∩ b| / max(|a|, |b|).
+std::vector<std::vector<core::AssemblyCandidate>> OracleOverlaps(
+    const std::vector<std::vector<std::string>>& sets) {
+  std::vector<std::vector<core::AssemblyCandidate>> overlaps(sets.size());
+  for (uint32_t i = 0; i < sets.size(); ++i) {
+    for (uint32_t j = 0; j < sets.size(); ++j) {
+      if (i == j) continue;
+      std::vector<std::string> shared;
+      std::set_intersection(sets[i].begin(), sets[i].end(), sets[j].begin(),
+                            sets[j].end(), std::back_inserter(shared));
+      if (shared.empty()) continue;
+      overlaps[i].push_back(
+          {j, static_cast<double>(shared.size()) /
+                  std::max<double>(sets[i].size(), sets[j].size())});
+    }
+  }
+  return overlaps;
+}
+
+/// The neighbors in `overlaps` scoring at least `min_score`.
+std::vector<core::AssemblyCandidate> AtLeast(
+    const std::vector<core::AssemblyCandidate>& overlaps, double min_score) {
+  std::vector<core::AssemblyCandidate> out;
+  for (const core::AssemblyCandidate& n : overlaps) {
+    if (n.score >= min_score) out.push_back(n);
+  }
+  return out;
+}
+
+/// Candidate pairs from the oracle overlaps, sorted.
 std::vector<data::CandidatePair> OracleCandidatePairs(
-    const data::Dataset& dataset, const text::TokenIndex& index) {
+    const data::Dataset& dataset,
+    const std::vector<std::vector<core::AssemblyCandidate>>& overlaps) {
   const data::CandidateOptions options;
   const std::vector<data::EntityId>& refs = dataset.author_refs();
   std::vector<data::CandidatePair> pairs;
   for (uint32_t i = 0; i < refs.size(); ++i) {
     const data::Entity& a = dataset.entity(refs[i]);
-    for (const auto& cand : index.Candidates(i, options.min_ngram_overlap)) {
+    for (const auto& cand : AtLeast(overlaps[i], options.min_ngram_overlap)) {
       if (cand.doc_id <= i) continue;
       const data::Entity& b = dataset.entity(refs[cand.doc_id]);
       const text::SimilarityLevel level =
@@ -172,17 +208,15 @@ std::vector<data::CandidatePair> OracleCandidatePairs(
   return pairs;
 }
 
-/// Default-option canopy cover over the oracle index.
-Cover OracleCanopyCover(const data::Dataset& dataset,
-                        const text::TokenIndex& index,
-                        const ExecutionContext& ctx, size_t* pairs) {
+/// Default-option canopy cover over the oracle overlaps.
+Cover OracleCanopyCover(
+    const data::Dataset& dataset,
+    const std::vector<std::vector<core::AssemblyCandidate>>& overlaps,
+    const ExecutionContext& ctx, size_t* pairs) {
   const core::CanopyOptions options;
   const auto candidate_fn = [&](uint32_t doc, size_t* num_scored) {
-    std::vector<core::AssemblyCandidate> out;
-    for (const auto& n : index.Candidates(doc, options.loose, num_scored)) {
-      out.push_back({n.doc_id, n.score});
-    }
-    return out;
+    *num_scored = overlaps[doc].size();
+    return AtLeast(overlaps[doc], options.loose);
   };
   Cover cover = core::AssembleCanopies(dataset.author_refs(), ctx.seed(),
                                        options.tight, candidate_fn, ctx,
@@ -229,10 +263,11 @@ Cover OracleLshCover(const data::Dataset& dataset,
 void ExpectSubstrateMatchesOracle(const data::Dataset& dataset,
                                   const ExecutionContext& ctx,
                                   bool check_pairs, const std::string& label) {
-  const text::TokenIndex oracle = OracleIndex(dataset);
+  const std::vector<std::vector<core::AssemblyCandidate>> overlaps =
+      OracleOverlaps(OracleTokenSets(dataset));
   if (check_pairs) {
     const std::vector<data::CandidatePair> expected =
-        OracleCandidatePairs(dataset, oracle);
+        OracleCandidatePairs(dataset, overlaps);
     ASSERT_EQ(dataset.num_candidate_pairs(), expected.size()) << label;
     for (data::PairId id = 0; id < expected.size(); ++id) {
       EXPECT_EQ(dataset.candidate_pair(id).pair, expected[id].pair) << label;
@@ -243,7 +278,8 @@ void ExpectSubstrateMatchesOracle(const data::Dataset& dataset,
 
   size_t expected_pairs = 0;
   core::BlockingStats stats;
-  const Cover canopy = OracleCanopyCover(dataset, oracle, ctx, &expected_pairs);
+  const Cover canopy =
+      OracleCanopyCover(dataset, overlaps, ctx, &expected_pairs);
   ExpectSameCover(canopy,
                   blocking::MakeCoverBuilder(BlockingStrategy::kCanopy)
                       ->Build(dataset, ctx, &stats),
@@ -298,46 +334,38 @@ TEST(SubstrateEquivalence, Figure1MatchesStringOracleAcrossContexts) {
 }
 
 TEST_P(CoverDeterminism, TokenIndexIdenticalAcrossThreadAndShardCounts) {
-  // The sharded TokenIndex build: candidates AND the num_scored work
-  // counter must match the serial single-shard AddDocument loop for any
-  // thread count and any shard count.
-  const auto dataset = MakeCorpus(GetParam());
-  const std::vector<data::EntityId>& refs = dataset->author_refs();
-  std::vector<std::vector<std::string>> token_sets(refs.size());
-  for (size_t i = 0; i < refs.size(); ++i) {
-    token_sets[i] = blocking::AuthorBlockingTokens(dataset->entity(refs[i]));
-  }
-  text::TokenIndex reference;
-  for (size_t i = 0; i < refs.size(); ++i) {
-    reference.AddDocument(static_cast<uint32_t>(i), token_sets[i]);
-  }
-  for (uint32_t threads : ThreadCounts()) {
-    for (uint32_t shards : {1u, 4u, 32u}) {
+  // The dataset's token index, built on contexts of any thread and shard
+  // count: its size, every doc's candidates AND the num_scored work counter
+  // must equal the brute-force oracle overlaps.
+  data::BibConfig config = data::BibConfig::DblpLike(0.08);
+  config.seed = GetParam();
+  for (uint32_t threads : {1u, 4u}) {
+    for (uint32_t shards : {1u, 32u}) {
       ExecutionContext ctx(threads, shards);
-      text::TokenIndex index(ctx.num_shards());
-      index.AddDocuments(
-          text::TokenCorpus::Build(
-              token_sets.size(),
-              [&](size_t doc, text::TokenCorpus::DocBuilder& builder) {
-                for (const std::string& t : token_sets[doc]) {
-                  builder.EmitLower(t);
-                }
-              },
-              ctx),
-          ctx);
-      ASSERT_EQ(index.num_documents(), reference.num_documents());
-      EXPECT_EQ(index.num_tokens(), reference.num_tokens());
-      EXPECT_EQ(index.num_postings(), reference.num_postings());
-      for (uint32_t doc = 0; doc < refs.size(); ++doc) {
+      const auto dataset = data::GenerateBibDataset(config, {}, ctx);
+      const std::string label = std::to_string(threads) + " threads, " +
+                                std::to_string(shards) + " shards";
+      const std::vector<std::vector<std::string>> sets =
+          OracleTokenSets(*dataset);
+      const std::vector<std::vector<core::AssemblyCandidate>> overlaps =
+          OracleOverlaps(sets);
+      const text::TokenIndex& index = dataset->blocking_index();
+      ASSERT_EQ(index.num_documents(), sets.size()) << label;
+      size_t postings = 0;
+      std::set<std::string> tokens;
+      for (const std::vector<std::string>& set : sets) {
+        tokens.insert(set.begin(), set.end());
+        postings += set.size();
+      }
+      EXPECT_EQ(index.num_tokens(), tokens.size()) << label;
+      EXPECT_EQ(index.num_postings(), postings) << label;
+      for (uint32_t doc = 0; doc < sets.size(); ++doc) {
         size_t scored = 0;
-        size_t reference_scored = 0;
         const auto candidates = index.Candidates(doc, 0.3, &scored);
-        const auto expected =
-            reference.Candidates(doc, 0.3, &reference_scored);
-        EXPECT_EQ(scored, reference_scored)
-            << threads << " threads, " << shards << " shards, doc " << doc;
+        const auto expected = AtLeast(overlaps[doc], 0.3);
+        EXPECT_EQ(scored, overlaps[doc].size()) << label << ", doc " << doc;
         ASSERT_EQ(candidates.size(), expected.size())
-            << threads << " threads, " << shards << " shards, doc " << doc;
+            << label << ", doc " << doc;
         for (size_t i = 0; i < candidates.size(); ++i) {
           EXPECT_EQ(candidates[i].doc_id, expected[i].doc_id);
           EXPECT_EQ(candidates[i].score, expected[i].score);

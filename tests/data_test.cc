@@ -265,5 +265,42 @@ TEST(TsvIoTest, MalformedLineIsError) {
   std::remove(path.c_str());
 }
 
+/// Loading `path` must fail with InvalidArgument naming `path:line`.
+void ExpectRejectedAtLine(const std::string& path, size_t line) {
+  auto result = LoadDatasetTsv(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find(path + ":" + std::to_string(line) +
+                                           ":"),
+            std::string::npos)
+      << result.status();
+}
+
+TEST(TsvIoTest, NonNumericIdIsInvalidArgument) {
+  ExpectRejectedAtLine(
+      std::string(CEM_TEST_DATA_DIR) + "/tsv_non_numeric_id.tsv", 2);
+}
+
+TEST(TsvIoTest, AuthoredTupleFromPaperIsInvalidArgument) {
+  ExpectRejectedAtLine(
+      std::string(CEM_TEST_DATA_DIR) + "/tsv_authored_by_paper.tsv", 3);
+}
+
+TEST(TsvIoTest, CitesTupleFromAuthorRefIsInvalidArgument) {
+  ExpectRejectedAtLine(
+      std::string(CEM_TEST_DATA_DIR) + "/tsv_cites_from_author.tsv", 3);
+}
+
+TEST(TsvIoTest, IdBeyondEntityIdRangeIsInvalidArgument) {
+  // 2^32 would truncate to entity 0 if narrowed silently.
+  const std::string path = ::testing::TempDir() + "/wide_id.tsv";
+  FILE* f = fopen(path.c_str(), "w");
+  fputs("A\t0\tJohn\tSmith\t1\nP\t1\tOn Blocking\t2001\t0\n", f);
+  fputs("W\t4294967296\t1\n", f);
+  fclose(f);
+  ExpectRejectedAtLine(path, 3);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace cem::data

@@ -12,6 +12,7 @@
 #include "text/similarity_level.h"
 #include "text/token_arena.h"
 #include "text/token_index.h"
+#include "util/execution_context.h"
 #include "util/hash.h"
 
 namespace cem::text {
@@ -138,11 +139,21 @@ TEST(SimilarityLevelTest, SmallTypoStaysSimilar) {
 
 // ------------------------------------------------------------ TokenIndex --
 
+/// Index over `docs` (doc id = position), each appended through
+/// TokenCorpus::AppendDoc with lower-casing.
+TokenIndex IndexOf(const std::vector<std::vector<std::string>>& docs) {
+  TokenCorpus corpus;
+  for (const std::vector<std::string>& tokens : docs) {
+    corpus.AppendDoc([&](TokenCorpus::DocBuilder& builder) {
+      for (const std::string& t : tokens) builder.EmitLower(t);
+    });
+  }
+  return TokenIndex(std::move(corpus));
+}
+
 TEST(TokenIndexTest, FindsOverlappingDocs) {
-  TokenIndex index;
-  index.AddDocument(0, {"smi", "mit", "ith"});
-  index.AddDocument(1, {"smi", "mit", "itt"});
-  index.AddDocument(2, {"xyz"});
+  const TokenIndex index =
+      IndexOf({{"smi", "mit", "ith"}, {"smi", "mit", "itt"}, {"xyz"}});
   auto candidates = index.Candidates(0, 0.1);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].doc_id, 1u);
@@ -150,95 +161,47 @@ TEST(TokenIndexTest, FindsOverlappingDocs) {
 }
 
 TEST(TokenIndexTest, MinScoreFilters) {
-  TokenIndex index;
-  index.AddDocument(0, {"a", "b", "c", "d"});
-  index.AddDocument(1, {"a"});
+  const TokenIndex index = IndexOf({{"a", "b", "c", "d"}, {"a"}});
   EXPECT_TRUE(index.Candidates(0, 0.5).empty());
   EXPECT_EQ(index.Candidates(0, 0.2).size(), 1u);
 }
 
 TEST(TokenIndexTest, CaseInsensitive) {
-  TokenIndex index;
-  index.AddDocument(0, {"ABC"});
-  index.AddDocument(1, {"abc"});
+  const TokenIndex index = IndexOf({{"ABC"}, {"abc"}});
   EXPECT_EQ(index.Candidates(0, 0.5).size(), 1u);
 }
 
 TEST(TokenIndexTest, DuplicateTokensCollapse) {
-  TokenIndex index;
-  index.AddDocument(0, {"a", "a", "a"});
-  index.AddDocument(1, {"a", "b"});
+  const TokenIndex index = IndexOf({{"a", "a", "a"}, {"a", "b"}});
   auto candidates = index.Candidates(0, 0.0);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_NEAR(candidates[0].score, 0.5, 1e-9);  // 1 shared / max(1, 2)
 }
 
 TEST(TokenIndexTest, SelfExcluded) {
-  TokenIndex index;
-  index.AddDocument(0, {"x"});
+  const TokenIndex index = IndexOf({{"x"}});
   EXPECT_TRUE(index.Candidates(0, 0.0).empty());
 }
 
-TEST(TokenIndexTest, SizeTracksIncrementalAdds) {
-  // size()/empty() must be an O(1) running document count (the corpus size
-  // as the index sees it), never inferred from postings contents.
-  TokenIndex index;
-  EXPECT_TRUE(index.empty());
-  EXPECT_EQ(index.size(), 0u);
-  index.AddDocument(0, {"a", "b"});
-  EXPECT_EQ(index.size(), 1u);
-  index.AddDocument(1, {});  // Token-free documents still count.
-  EXPECT_EQ(index.size(), 2u);
-  EXPECT_EQ(index.size(), index.num_documents());
-  EXPECT_FALSE(index.empty());
-}
-
-TEST(TokenIndexTest, ShardedAddDocumentMatchesSingleShard) {
+TEST(TokenIndexTest, ParallelBuiltCorpusMatchesSerialAppend) {
+  // A corpus built in parallel indexes exactly like one appended serially.
   const std::vector<std::vector<std::string>> docs = {
-      {"smi", "mit", "ith"}, {"smi", "mit", "itt"}, {"xyz", "SMI"}, {}};
-  TokenIndex single;
-  TokenIndex sharded(7);
-  for (uint32_t doc = 0; doc < docs.size(); ++doc) {
-    single.AddDocument(doc, docs[doc]);
-    sharded.AddDocument(doc, docs[doc]);
-  }
-  EXPECT_EQ(sharded.num_shards(), 7u);
-  EXPECT_EQ(sharded.num_tokens(), single.num_tokens());
-  EXPECT_EQ(sharded.num_postings(), single.num_postings());
-  for (uint32_t doc = 0; doc < docs.size(); ++doc) {
-    size_t single_scored = 0;
-    size_t sharded_scored = 0;
-    const auto expected = single.Candidates(doc, 0.0, &single_scored);
-    const auto actual = sharded.Candidates(doc, 0.0, &sharded_scored);
-    EXPECT_EQ(sharded_scored, single_scored);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (size_t i = 0; i < actual.size(); ++i) {
-      EXPECT_EQ(actual[i].doc_id, expected[i].doc_id);
-      EXPECT_EQ(actual[i].score, expected[i].score);
-    }
-  }
-}
-
-TEST(TokenIndexTest, AddDocumentsMatchesSerialInsertion) {
-  const std::vector<std::vector<std::string>> docs = {
-      {"a", "b", "c"}, {"b", "c", "d"}, {"A", "a", "e"}, {"f"}};
-  TokenIndex serial;
-  for (uint32_t doc = 0; doc < docs.size(); ++doc) {
-    serial.AddDocument(doc, docs[doc]);
-  }
-  ExecutionContext ctx(3, /*num_shards=*/5);
-  TokenIndex bulk(ctx.num_shards());
-  bulk.AddDocuments(TokenCorpus::Build(
-                        docs.size(),
-                        [&](size_t doc, TokenCorpus::DocBuilder& builder) {
-                          for (const std::string& t : docs[doc]) {
-                            builder.EmitLower(t);
-                          }
-                        },
-                        ctx),
-                    ctx);
+      {"a", "b", "c"}, {"b", "c", "d"}, {"A", "a", "e"}, {"f"}, {}};
+  const TokenIndex serial = IndexOf(docs);
+  ExecutionContext ctx(3);
+  const TokenIndex bulk(TokenCorpus::Build(
+      docs.size(),
+      [&](size_t doc, TokenCorpus::DocBuilder& builder) {
+        for (const std::string& t : docs[doc]) builder.EmitLower(t);
+      },
+      ctx));
+  EXPECT_TRUE(TokenIndex().empty());
+  EXPECT_FALSE(bulk.empty());
+  EXPECT_EQ(bulk.size(), docs.size());  // Token-free documents count too.
   EXPECT_EQ(bulk.num_documents(), serial.num_documents());
+  EXPECT_EQ(bulk.num_tokens(), 6u);
   EXPECT_EQ(bulk.num_tokens(), serial.num_tokens());
+  EXPECT_EQ(bulk.num_postings(), 9u);
   EXPECT_EQ(bulk.num_postings(), serial.num_postings());
   for (uint32_t doc = 0; doc < docs.size(); ++doc) {
     const auto expected = serial.Candidates(doc, 0.0);
@@ -247,6 +210,35 @@ TEST(TokenIndexTest, AddDocumentsMatchesSerialInsertion) {
     for (size_t i = 0; i < actual.size(); ++i) {
       EXPECT_EQ(actual[i].doc_id, expected[i].doc_id);
       EXPECT_EQ(actual[i].score, expected[i].score);
+    }
+  }
+}
+
+TEST(TokenIndexTest, FirstDocBoundScansOnlyLaterDocs) {
+  // Candidates(i, s, &scored, i + 1) is Candidates(i, s) restricted to doc
+  // ids > i, and scores only those docs.
+  const std::vector<std::vector<std::string>> docs = {
+      {"smi", "mit", "ith"}, {"smi", "mit", "itt"}, {"xyz", "smi"},
+      {"ith", "xyz"},        {},                    {"mit", "ith", "smi"}};
+  const TokenIndex index = IndexOf(docs);
+  for (const double min_score : {0.0, 0.5}) {
+    for (uint32_t doc = 0; doc < docs.size(); ++doc) {
+      // At min_score 0 every scored doc is returned.
+      std::vector<TokenIndex::Neighbor> expected;
+      size_t expected_scored = 0;
+      for (const auto& n : index.Candidates(doc, 0.0)) {
+        if (n.doc_id <= doc) continue;
+        ++expected_scored;
+        if (n.score >= min_score) expected.push_back(n);
+      }
+      size_t scored = 0;
+      const auto actual = index.Candidates(doc, min_score, &scored, doc + 1);
+      EXPECT_EQ(scored, expected_scored) << "doc " << doc;
+      ASSERT_EQ(actual.size(), expected.size()) << "doc " << doc;
+      for (size_t i = 0; i < actual.size(); ++i) {
+        EXPECT_EQ(actual[i].doc_id, expected[i].doc_id);
+        EXPECT_EQ(actual[i].score, expected[i].score);
+      }
     }
   }
 }
